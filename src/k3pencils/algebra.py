@@ -42,10 +42,11 @@ class Cyc:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=1):
-        if den < 0:
+        if den <= 0:
+            if not den:
+                raise ZeroDivisionError("zero denominator")
             num = tuple(-c for c in num)
             den = -den
-        assert den > 0, "zero denominator"
         g = den
         for c in num:
             g = gcd(g, c)
@@ -162,13 +163,6 @@ class Cyc:
     def __hash__(self):
         return self._hash
 
-    def cx(self):
-        """Floating-point image, for debugging and sanity tests only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / 24)
-        return sum(c * z**k for k, c in enumerate(self.num)) / self.den
-
     def __repr__(self):
         if self.is_rational():
             f = self.as_fraction()
@@ -183,7 +177,6 @@ class Cyc:
 
 ZERO = Cyc.from_int(0)
 ONE = Cyc.from_int(1)
-TWO = Cyc.from_int(2)
 HALF = Cyc.rational(1, 2)
 I = Cyc.zeta(6)
 SQRT2 = Cyc.zeta(3) + Cyc.zeta(21)  # zeta_8 + zeta_8^-1
@@ -191,21 +184,6 @@ SQRT3 = Cyc.zeta(2) + Cyc.zeta(22)
 OMEGA = Cyc.zeta(8)  # primitive cube root of unity
 
 ROOTS24 = tuple(Cyc.zeta(k) for k in range(24))
-
-
-def scalar_arith(a, b, op):
-    """Dispatch {add, sub, mul, div} on two field elements."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +232,8 @@ def mat_sub(a, b):
     )
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_transpose(a):
     return tuple(zip(*a))
-
-
-def mat_trace(a):
-    acc = ZERO
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
 
 
 def scalar_of(a):
@@ -326,15 +293,6 @@ def mat_det(a):
     return det
 
 
-def mat_inv(a):
-    n = len(a)
-    aug = [list(a[i]) + list(mat_identity(n)[i]) for i in range(n)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 def nullspace(a):
     """Canonical basis of ker(a); vectors in reduced echelon form."""
     n = len(a)
@@ -388,10 +346,6 @@ def quat_mul(x, y):
         x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
         x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0,
     )
-
-
-def quat_conj(x):
-    return (x[0], -x[1], -x[2], -x[3])
 
 
 def su2_of_quat(x):

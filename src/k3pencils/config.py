@@ -1,11 +1,10 @@
-"""Line-oriented text format for curve graphs, classes and node data.
+"""Line-oriented text format for curve graphs and classes.
 
-The format is deliberately small.  Four directives, one per line:
+The format is deliberately small.  Three directives, one per line:
 
     curve <name> [self=<int>]
     edge <a> <b> [mult=<int>]
     class <name> = +<curve> -<curve> ...
-    node <group> <fiber> count=<int> orbits=<int> fix=<label>
 
 Blank lines and anything after "#" are skipped.  Class terms must be
 signed; repeating a term accumulates its coefficient, so "+M1 +M1 +M1"
@@ -14,7 +13,6 @@ name.  Errors carry the 1-based line number of the offending line.
 """
 
 from .lattices import CurveGraph
-from .singularities import NodeOrbitRecord
 
 
 class ConfigError(ValueError):
@@ -22,15 +20,11 @@ class ConfigError(ValueError):
 
 
 class ConfigFile:
-    """Parsed contents: a curve graph, named classes, node records."""
+    """Parsed contents: a curve graph and named classes."""
 
     def __init__(self):
         self.graph = CurveGraph()
         self.classes = {}
-        self.nodes = []
-
-    def class_names(self):
-        return tuple(self.classes)
 
 
 def _int_arg(token, key, lineno):
@@ -87,40 +81,10 @@ def _parse_class(cfg, args, lineno):
         coeffs[curve] = coeffs.get(curve, 0) + sign
 
 
-def _parse_node(cfg, args, lineno):
-    if len(args) != 5:
-        raise ConfigError(
-            "line %d: usage: node <group> <fiber> count=<int> orbits=<int>"
-            " fix=<label>" % lineno)
-    group = args[0]
-    try:
-        fiber = int(args[1])
-    except ValueError:
-        raise ConfigError("line %d: bad fiber index %r" % (lineno, args[1]))
-    kw = {}
-    for token in args[2:]:
-        key, eq, value = token.partition("=")
-        if not eq or key not in ("count", "orbits", "fix"):
-            raise ConfigError("line %d: unexpected argument %r"
-                              % (lineno, token))
-        if key in kw:
-            raise ConfigError("line %d: duplicate argument %r"
-                              % (lineno, key))
-        kw[key] = value
-    count = _int_arg("count=" + kw["count"], "count", lineno)
-    orbits = _int_arg("orbits=" + kw["orbits"], "orbits", lineno)
-    try:
-        cfg.nodes.append(NodeOrbitRecord(group, fiber, count, orbits,
-                                         kw["fix"]))
-    except (ValueError, AssertionError) as exc:
-        raise ConfigError("line %d: %s" % (lineno, exc))
-
-
 _DIRECTIVES = {
     "curve": _parse_curve,
     "edge": _parse_edge,
     "class": _parse_class,
-    "node": _parse_node,
 }
 
 
@@ -158,8 +122,4 @@ def emit_config(cfg):
     for name, coeffs in cfg.classes.items():
         terms = [_term(c, k) for c, k in coeffs.items() if k]
         lines.append("class %s = %s" % (name, " ".join(terms)))
-    for rec in cfg.nodes:
-        lines.append("node %s %d count=%d orbits=%d fix=%s" % (
-            rec.group, rec.fiber, rec.node_count, rec.orbit_count,
-            rec.fix_group.label))
     return "\n".join(lines) + "\n" if lines else ""

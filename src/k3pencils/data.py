@@ -428,21 +428,3 @@ COMPONENT_TABLES = (
     ("O_Lbar", (("L", -(3**2) * 7), ("M", 2**2), ("N", 3**4)),
      -(2**2) * 3**6 * 7),
 )
-
-# independent (-2)-curves surviving on each covering surface
-CURVE_COUNTS = {
-    "T_L": 19,
-    "T_M": 17,
-    "O_L": 19,
-    "O_M": 18,
-    "T_Lbar": 15,
-    "O_Lbar": 18,
-}
-
-# curve counts on the special members of the second coverings
-SECOND_COVER_RANKS = {
-    ("T_Lbar", 1): 18, ("T_Lbar", 2): 18,
-    ("T_Lbar", 3): 18, ("T_Lbar", 4): 18,
-    ("O_Lbar", 1): 20, ("O_Lbar", 2): 19,
-    ("O_Lbar", 3): 19, ("O_Lbar", 4): 20,
-}

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .algebra import (
     ONE,
     ZERO,
+    _rref,
     eig2,
     mat_vec,
     normalize_point,
@@ -57,32 +58,6 @@ def pluecker_relation(p):
     return (p[0] * p[5] - p[1] * p[4] + p[2] * p[3]).is_zero()
 
 
-def _rref2(a, b):
-    # reduced echelon basis of the span of two independent 4-vectors
-    rows = [list(a), list(b)]
-    piv = []
-    r = 0
-    for c in range(4):
-        pr = next(
-            (i for i in range(r, 2) if not rows[i][c].is_zero()), None
-        )
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(2):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-        if r == 2:
-            break
-    assert r == 2, "line basis is degenerate"
-    return (tuple(rows[0]), tuple(rows[1]))
-
-
 class Line:
     """A line in P^3, canonical under its Pluecker key."""
 
@@ -92,7 +67,10 @@ class Line:
     def __init__(self, kind, basis, side=None, point=None, qpoints=None,
                  type_tag=None):
         self.kind = kind
-        self.basis = _rref2(*basis)
+        rows, pivots = _rref(basis)
+        if len(pivots) != 2:
+            raise ValueError("line basis is degenerate")
+        self.basis = tuple(rows)
         self.key = pluecker(*self.basis)
         assert pluecker_relation(self.key)
         self.side = side
@@ -220,10 +198,6 @@ class RulingAction:
         return out
 
 
-def ruling_action(g, side):
-    return RulingAction(g, side)
-
-
 def pure_fix_points(g, side):
     """Fixed points on one ruling from the pure elements of g.
 
@@ -249,7 +223,7 @@ def pure_fix_points(g, side):
 def orbits_on_ruling(g, side):
     """Orbit lengths of the pure fixed points, grouped by fixer order."""
     pts = pure_fix_points(g, side)
-    action = ruling_action(g, side)
+    action = RulingAction(g, side)
     table = {}
     for orb in action.orbits(pts):
         orders = {pts[p] for p in orb}
@@ -265,7 +239,7 @@ def base_points(degree):
     sides = []
     for side in ("left", "right"):
         pts = pure_fix_points(amb, side)
-        orbits = ruling_action(amb, side).orbits(pts)
+        orbits = RulingAction(amb, side).orbits(pts)
         hits = [o for o in orbits if len(o) == degree]
         assert len(hits) == 1, (
             f"ambient ruling orbit of length {degree} is not unique"

@@ -131,10 +131,6 @@ class Element:
         return f"Element(P={self.P!r}, Q={self.Q!r})"
 
 
-def element_order(e):
-    return e.order()
-
-
 class Group:
     def __init__(self, name, generators, elements):
         self.name = name
@@ -245,9 +241,6 @@ def flat_key(key):
     return tuple(flat_key(x) for x in key)
 
 
-_flat = flat_key
-
-
 def conjugacy_classes(g):
     """Partition into conjugacy classes (works projectively too)."""
     if isinstance(g, ProjectiveGroup):
@@ -263,8 +256,8 @@ def conjugacy_classes(g):
                 ck = (x * e * x.inv()).proj_key()
                 orbit.add(ck)
             keys -= orbit
-            classes.append(sorted(orbit, key=_flat))
-        classes.sort(key=lambda cl: (len(cl), _flat(cl[0])))
+            classes.append(sorted(orbit, key=flat_key))
+        classes.sort(key=lambda cl: (len(cl), flat_key(cl[0])))
         return classes
     pool = set(g.elements)
     all_elems = list(g.elements)
@@ -329,8 +322,3 @@ def pgroup(label):
         _pcache[label] = projectivize(group(label))
     return _pcache[label]
 
-
-def ambient_of(label, degree=None):
-    if degree is None:
-        degree = DEFAULT_DEGREE[label]
-    return AMBIENT[degree]

@@ -326,7 +326,8 @@ def is_p_divisible(l, v, p):
 
     Numerically: Gram . v = 0 (mod p) and v . v = 0 (mod 2p^2).
     """
-    assert p in (2, 3, 4), p
+    if p not in (2, 3, 4):
+        raise ValueError("divisibility is checked for p = 2, 3, 4 only")
     coeffs = v.coeffs
     if len(coeffs) != l.rank:
         raise ValueError("class length does not match lattice rank")

@@ -6,18 +6,19 @@ base lines meet other fix-lines on the quadric, stabilizers of
 off-quadric points on fix-lines, and binary quotients C^2/F~ at the
 images of nodes of the singular pencil members.  Node positions depend
 on the invariant forms cutting the pencil, so node counts, fix-group
-names, and node-line incidences enter as a built-in dataset; everything
+names, and node-line incidences are read from data.NODES; everything
 downstream of them is recomputed and cross-checked.
 """
 
+import re
+
+from . import data
 from .geometry import (
     fixlines_table,
     nu1,
     nu2,
     nu3_smooth,
-    offquadric_rows,
     points_off_quadric,
-    quadric_point_rows,
 )
 from .groups import pgroup
 
@@ -188,19 +189,6 @@ def quadric_point_singularity(stab):
     return ADEType("A", a - 1)
 
 
-def off_quadric_singularities(line_data):
-    """Singularity report for one fix-line orbit off the quadric.
-
-    line_data is (o(L), number of point orbits); each orbit maps to one
-    A_{o-1} point in the quotient.
-    """
-    o, count = line_data
-    assert o in (2, 3, 4), o
-    if count == 0:
-        return []
-    return [(count, ADEType("A", o - 1))]
-
-
 class NodeOrbitRecord:
     """Ingested invariants of the nodes of one singular pencil member.
 
@@ -215,7 +203,8 @@ class NodeOrbitRecord:
 
     def __init__(self, group, fiber, node_count, orbit_count, fix_group,
                  meeting_lines="", line_incidences=()):
-        assert fiber in (1, 2, 3, 4), fiber
+        if fiber not in (1, 2, 3, 4):
+            raise ValueError("fiber must be 1..4, got %r" % (fiber,))
         if node_count % orbit_count:
             raise ValueError("orbit count must divide node count")
         self.group = group
@@ -233,73 +222,52 @@ class NodeOrbitRecord:
             self.fix_group.label)
 
 
-_NS = {6: (12, 48, 48, 12), 8: (24, 72, 144, 96)}
+# nodes on the four singular members of the degree-n pencil
+NODE_COUNTS = {6: (12, 48, 48, 12), 8: (24, 72, 144, 96)}
 
-# group, fiber, orbit count, fix group, annotation, incidences
-_NODE_TABLE = (
-    ("TxV", 1, 1, "Z2xZ2", "1M1+1M2+1M3", (("M", 6, 3),)),
-    ("TxV", 2, 1, "id", "", ()),
-    ("TxV", 3, 1, "id", "", ()),
-    ("TxV", 4, 1, "Z2xZ2", "1M1+1M2+1M3", (("M", 6, 3),)),
-    ("TT1", 1, 3, "T", "3Mi+4N", (("M", 6, 3), ("N", 16, 4))),
-    ("TT1", 2, 3, "Z3", "1N", (("N", 16, 1),)),
-    ("TT1", 3, 1, "id", "", ()),
-    ("TT1", 4, 1, "Z2xZ2", "1M1+1M2+1M3", (("M", 6, 3),)),
-    ("VxV", 1, 3, "Z2xZ2", "3Mij", (("M", 2, 3),)),
-    ("VxV", 2, 3, "id", "", ()),
-    ("VxV", 3, 3, "id", "", ()),
-    ("VxV", 4, 3, "Z2xZ2", "3Mij", (("M", 2, 3),)),
-    ("OxT", 1, 1, "T", "3M+4N", (("M", 18, 3), ("N", 32, 4))),
-    ("OxT", 2, 1, "Z2xZ2", "1M+2M'", (("M", 18, 1), ("M", 36, 2))),
-    ("OxT", 3, 1, "Z2", "1M'", (("M", 36, 1),)),
-    ("OxT", 4, 1, "Z3", "1N", (("N", 32, 1),)),
-    ("OO2", 1, 2, "O", "3R+4N(N')+6M",
-     (("R", 18, 3), ("N", 16, 4), ("M", 72, 6))),
-    ("OO2", 2, 1, "Z4", "1R", (("R", 18, 1),)),
-    ("OO2", 3, 1, "Z2", "1M", (("M", 72, 1),)),
-    ("OO2", 4, 2, "D3", "1N(N')+3M", (("N", 16, 1), ("M", 72, 3))),
-    ("TxT", 1, 2, "T", "3M+4N(N')", (("M", 18, 3), ("N", 16, 4))),
-    ("TxT", 2, 1, "Z2", "1M", (("M", 18, 1),)),
-    ("TxT", 3, 1, "id", "", ()),
-    ("TxT", 4, 2, "Z3", "1N(N')", (("N", 16, 1),)),
-)
+_TERM = re.compile(r"(\d+)(.+)")
 
-_DEGREES = {"TxV": 6, "TT1": 6, "VxV": 6, "OxT": 8, "OO2": 8, "TxT": 8}
+
+def _columns(name, columns):
+    """The fix-line columns that one meeting-lines term names."""
+    if name in columns:
+        return [name]
+    if name in ("Mi", "Mij"):
+        return [c for c in columns if c[0] == "M" and c[1:].isdigit()]
+    if name == "N(N')":
+        return [c for c in columns if c in ("N", "N'")]
+    return []
+
+
+def parse_meeting_lines(label, text):
+    """(type tag, fix-line orbit length, lines through each node) triples.
+
+    text is a meeting-lines annotation of data.NODES such as "3Mi+4N":
+    terms <count><column> joined by "+".  A column is one of the group's
+    data.FIXLINES columns, or a family of them: "Mi" / "Mij" for the
+    numbered M columns, "N(N')" for N and N'.  Counts add up per (tag,
+    orbit length), the pooling that _nu3_at_fiber works with.
+    """
+    lengths = {r[1]: r[4] for r in data.FIXLINES if r[0] == label}
+    out = {}
+    for term in text.split("+") if text else ():
+        m = _TERM.fullmatch(term)
+        found = {lengths[c] for c in _columns(m[2], lengths)} if m else ()
+        if len(found) != 1:
+            raise ValueError("%s: meeting-lines term %r names no single"
+                             " fix-line orbit length" % (label, term))
+        key = (m[2][0], found.pop())
+        out[key] = out.get(key, 0) + int(m[1])
+    return tuple((tag, length, n) for (tag, length), n in out.items())
 
 
 def node_records(label):
-    """The built-in node dataset for one group, all four fibers."""
-    deg = _DEGREES[label]
+    """The node data of one group's four singular members (data.NODES)."""
     out = []
-    for grp, fiber, orbits, fix, text, inc in _NODE_TABLE:
-        if grp == label:
-            out.append(NodeOrbitRecord(grp, fiber, _NS[deg][fiber - 1],
-                                       orbits, fix, text, inc))
-    assert len(out) == 4
-    return out
-
-
-def node_singularities(record):
-    """Singularity report at the images of one fiber's nodes."""
-    return [(record.orbit_count, binary_quotient_type(record.fix_group))]
-
-
-def quadric_reports(label, degree):
-    """(count, type) pairs for the on-quadric point orbits."""
-    return [
-        (row.number,
-         quadric_point_singularity((row.transversal_order,
-                                    row.fix[0] if row.fix[1] ==
-                                    row.transversal_order else row.fix[1])))
-        for row in quadric_point_rows(label, degree)
-    ]
-
-
-def offquadric_reports(label, degree):
-    """(count, type) pairs for the off-quadric orbits, one per line row."""
-    out = []
-    for row in offquadric_rows(label, degree):
-        out.extend(off_quadric_singularities((row.order, row.number)))
+    for fiber in (1, 2, 3, 4):
+        ns, orbits, fix, meeting, _sing = data.NODES[(label, fiber)]
+        out.append(NodeOrbitRecord(label, fiber, ns, orbits, fix, meeting,
+                                   parse_meeting_lines(label, meeting)))
     return out
 
 
@@ -316,10 +284,8 @@ def _nu3_at_fiber(label, degree, record):
     rows = fixlines_table(label)
     pooled = {}
     for row in rows:
-        pooled.setdefault((row.type_tag, row.length), 0)
-    for key in list(pooled):
-        pooled[key] = sum(r.length for r in rows
-                          if (r.type_tag, r.length) == key)
+        key = (row.type_tag, row.length)
+        pooled[key] = pooled.get(key, 0) + row.length
     k_of = {}
     for tag, length, per_node in record.line_incidences:
         total = pooled[(tag, length)]
@@ -343,19 +309,20 @@ def nu_totals(label, degree, fiber, node_data=None):
     fiber is "smooth" or a lambda index 1..4; node_data must supply the
     NodeOrbitRecord of any singular fiber requested.
     """
+    if fiber not in ("smooth", 1, 2, 3, 4):
+        raise ValueError("fiber must be 'smooth' or 1..4, got %r" % (fiber,))
     n1 = nu1(label, degree)
     n2 = nu2(label, degree)
     if fiber == "smooth":
         n3 = nu3_smooth(label, degree)
         return (n1, n2, n3, 0, n1 + n2 + n3)
-    assert fiber in (1, 2, 3, 4), fiber
     record = None
     for rec in node_data or ():
         if rec.group == label and rec.fiber == fiber:
             record = rec
     if record is None:
         raise ValueError("missing node data for singular fiber")
-    if record.node_count != _NS[degree][fiber - 1]:
+    if record.node_count != NODE_COUNTS[degree][fiber - 1]:
         raise ValueError("node count does not match the pencil degree")
     ph = pgroup(label)
     assert (record.orbit_count * ph.order()

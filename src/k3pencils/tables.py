@@ -44,6 +44,7 @@ from .lattices import (
     nikulin_count_check,
 )
 from .singularities import (
+    NODE_COUNTS,
     ADEType,
     binary_quotient_type,
     node_records,
@@ -97,16 +98,23 @@ class CellResult:
                                           self.status)
 
 
-# cells where the recomputation contradicts the golden copy; the value
-# is what the recomputation (and the table's own cross sums) give
-KNOWN_DEVIATIONS = {
-    ("sec4.fixlines", "OxT.M'.ratio"): 4,
-    ("sec4.fixlines", "OO2.N.ratio"): 6,
-    ("sec4.fixlines", "OO2.N'.ratio"): 6,
-    ("sec5.sing", "OxT.M'.length"): 4,
-    ("sec6.nu", "OO2.l1.nu3"): 2,
-    ("sec6.nu", "OO2.l1.nu4"): 14,
-}
+def _known_deviations():
+    """{(table id, key): recomputed value} of the cells whose golden
+    value contradicts its own row; built from the data.*_FIXES tables."""
+    out = {}
+    for (label, col), ratio in data.FIXLINE_FIXES.items():
+        out[("sec4.fixlines", "%s.%s.ratio" % (label, col))] = ratio
+    for (label, col), length in data.OFFQUADRIC_FIXES.items():
+        out[("sec5.sing", "%s.%s.length" % (label, col))] = length
+    for (label, fiber), fixed in data.SINGULAR_NU_FIXES.items():
+        printed = data.SINGULAR_NU[(label, fiber)]
+        for name, want, was in zip(("nu3", "nu4", "nu"), fixed, printed):
+            if want != was:
+                out[("sec6.nu", "%s.l%d.%s" % (label, fiber, name))] = want
+    return out
+
+
+KNOWN_DEVIATIONS = _known_deviations()
 
 
 def _sing_str(count, ade, keep_one=False):
@@ -245,11 +253,16 @@ def _build_sing():
                        _common(rows, lambda c: _sing_str(
                            c.number, ADEType("A", c.order - 1))))
 
+        ph = pgroup(label).order()
         for rec in node_records(label):
             ns, orbits, fix, _meeting, sing = data.NODES[(label, rec.fiber)]
             prefix = "%s.l%d" % (label, rec.fiber)
-            yield prefix + ".ns", ns, rec.node_count
-            yield prefix + ".orbits", orbits, rec.orbit_count
+            got_ns = NODE_COUNTS[degree][rec.fiber - 1]
+            yield prefix + ".ns", ns, got_ns
+            # orbit-stabilizer: each orbit holds |PH| / |F| of the nodes
+            num = got_ns * rec.fix_group.so3_order
+            yield (prefix + ".orbits", orbits,
+                   num // ph if num % ph == 0 else "%d/%d" % (num, ph))
             yield prefix + ".F", fix, rec.fix_group.label
             yield (prefix + ".sing", sing,
                    _sing_str(rec.orbit_count,

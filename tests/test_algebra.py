@@ -26,17 +26,14 @@ from k3pencils.algebra import (
     mat4_of_pair,
     mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
     mat_scale,
     mat_transpose,
     mat_vec,
     normalize_point,
     nullspace,
-    quat_conj,
     quat_mul,
     quat_of_su2,
-    scalar_arith,
     scalar_of,
     su2_inv,
     su2_of_quat,
@@ -111,20 +108,18 @@ class TestFieldArithmetic:
 
     def test_scalar_arith_ops(self):
         a, b = Cyc.rational(3, 2), Cyc.rational(-2, 5)
-        assert scalar_arith(a, b, "add") == Cyc.rational(11, 10)
-        assert scalar_arith(a, b, "sub") == Cyc.rational(19, 10)
-        assert scalar_arith(a, b, "mul") == Cyc.rational(-3, 5)
-        assert scalar_arith(a, b, "div") == Cyc.rational(-15, 4)
+        assert a + b == Cyc.rational(11, 10)
+        assert a - b == Cyc.rational(19, 10)
+        assert a * b == Cyc.rational(-3, 5)
+        assert a / b == Cyc.rational(-15, 4)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            scalar_arith(ONE, ZERO, "div")
+            ONE / ZERO
         with pytest.raises(ZeroDivisionError):
             ZERO.inv()
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            scalar_arith(ONE, ONE, "pow")
+        with pytest.raises(ZeroDivisionError):
+            Cyc(ONE.num, 0)
 
     def test_canonical_form_and_hash(self):
         a = Cyc((2, 0, 4, 0, 0, 0, 0, 0), 6)
@@ -216,11 +211,6 @@ class TestPairParametrization:
         assert order(P3) == 6
         assert order(P4) == 8
 
-    def test_quat_conj_antihomomorphism(self):
-        assert quat_conj(quat_mul(P3, P4)) == quat_mul(
-            quat_conj(P4), quat_conj(P3)
-        )
-
     def test_minus_one_pair_acts_trivially(self):
         minus = tuple(-c for c in QUAT_ONE)
         assert pair_mat(minus, minus) == mat_identity(4)
@@ -232,20 +222,6 @@ class TestMatrixHelpers:
             tuple(Cyc.from_int(rng.randint(-4, 4)) for _ in range(n))
             for _ in range(n)
         )
-
-    def test_inverse_roundtrip(self):
-        done = 0
-        while done < 20:
-            m = self.rand_int_mat(3)
-            if mat_det(m).is_zero():
-                continue
-            assert mat_mul(m, mat_inv(m)) == mat_identity(3)
-            done += 1
-
-    def test_singular_inverse_raises(self):
-        m = int_mat([[1, 2], [2, 4]])
-        with pytest.raises(ValueError):
-            mat_inv(m)
 
     def test_det_multiplicative(self):
         for _ in range(20):

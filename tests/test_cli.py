@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from k3pencils.cli import main
+from k3pencils.config import ConfigError, parse_config
 
 SIX_A2 = "\n".join(
     ["curve P%d\ncurve Q%d\nedge P%d Q%d" % (i, i, i, i)
@@ -180,6 +181,15 @@ class TestLattice:
         assert "line 2" in err
         assert "unknown directive" in err
 
+    def test_node_directive_is_not_config(self, tmp_path, capsys):
+        text = "node TxV 1 count=12 orbits=1 fix=Z2xZ2\n"
+        with pytest.raises(ConfigError, match="line 1: unknown directive"):
+            parse_config(text)
+        path = tmp_path / "node.cfg"
+        path.write_text(text)
+        assert main(["lattice", "disc", str(path)]) == 2
+        assert "line 1: unknown directive 'node'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_clean_table_exits_0(self, capsys):
@@ -234,3 +244,25 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "TxV" in proc.stdout
     assert "1152" in proc.stdout
+
+
+# argument checks that must hold with asserts compiled out
+OPTIMIZED_CASES = (
+    ("from k3pencils.algebra import Cyc; Cyc((1,) * 8, 0)",
+     "ZeroDivisionError"),
+    ("from k3pencils.singularities import NodeOrbitRecord; "
+     "NodeOrbitRecord('TxV', 7, 12, 1, 'id')", "ValueError"),
+    ("from k3pencils.singularities import nu_totals; "
+     "nu_totals('TxV', 6, 7)", "ValueError"),
+    ("from k3pencils.lattices import is_p_divisible; "
+     "is_p_divisible(None, None, 5)", "ValueError"),
+)
+
+
+def test_validation_survives_python_O():
+    for code, exc in OPTIMIZED_CASES:
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, code
+        assert proc.stderr.strip().splitlines()[-1].startswith(exc + ":"), \
+            proc.stderr

@@ -18,6 +18,7 @@ from k3pencils.algebra import (
 from k3pencils.groups import Element, generate_group, group, pgroup, projectivize
 from k3pencils.geometry import (
     Line,
+    RulingAction,
     act_line,
     base_locus,
     base_points,
@@ -37,7 +38,6 @@ from k3pencils.geometry import (
     pure_fix_points,
     quadric_point,
     quadric_point_rows,
-    ruling_action,
     ruling_line,
     stabilizer,
     transversal_line,
@@ -87,7 +87,7 @@ class TestRulingOrbits:
         assert sorted(pts.values()).count(4) == 6
 
     def test_ruling_action_orbit(self):
-        act = ruling_action(group("TxT"), "left")
+        act = RulingAction(group("TxT"), "left")
         pts = pure_fix_points(group("TxT"), "left")
         # order-2 points form a single orbit of 6
         twos = {p for p, o in pts.items() if o == 2}
@@ -192,12 +192,12 @@ class TestBaseLocus:
         # orbit is the only one of the right length
         amb6 = group("TxT")
         pts = pure_fix_points(amb6, "left")
-        lens = sorted(len(o) for o in ruling_action(amb6, "left").orbits(pts))
+        lens = sorted(len(o) for o in RulingAction(amb6, "left").orbits(pts))
         assert lens == [4, 4, 6]
         amb8 = group("OxO")
         pts8 = pure_fix_points(amb8, "left")
         lens8 = sorted(
-            len(o) for o in ruling_action(amb8, "left").orbits(pts8)
+            len(o) for o in RulingAction(amb8, "left").orbits(pts8)
         )
         assert lens8 == [6, 8, 12]
 

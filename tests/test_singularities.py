@@ -2,6 +2,7 @@
 
 import pytest
 
+from k3pencils.geometry import offquadric_rows, quadric_point_rows
 from k3pencils.groups import pgroup
 from k3pencils.singularities import (
     ADEType,
@@ -9,12 +10,9 @@ from k3pencils.singularities import (
     NodeOrbitRecord,
     binary_quotient_type,
     node_records,
-    node_singularities,
     nu_totals,
-    off_quadric_singularities,
-    offquadric_reports,
+    parse_meeting_lines,
     quadric_point_singularity,
-    quadric_reports,
 )
 
 DEGREES = {"TxV": 6, "TT1": 6, "VxV": 6, "OxT": 8, "OO2": 8, "TxT": 8}
@@ -112,11 +110,6 @@ class TestPointClassifiers:
         with pytest.raises(ValueError):
             quadric_point_singularity((1, 5))
 
-    def test_off_quadric_reports(self):
-        assert off_quadric_singularities((3, 6)) == [(6, ADEType("A", 2))]
-        assert off_quadric_singularities((4, 2)) == [(2, ADEType("A", 3))]
-        assert off_quadric_singularities((2, 0)) == []
-
 
 EXPECTED_NODE_SING = {
     "TxV": ["D4", "A1", "A1", "D4"],
@@ -142,7 +135,7 @@ class TestNodeDataset:
     def test_node_singularity_cells(self, label):
         got = []
         for rec in node_records(label):
-            count, t = node_singularities(rec)[0]
+            count, t = rec.orbit_count, binary_quotient_type(rec.fix_group)
             got.append(str(t) if count == 1 else "%d%s" % (count, t))
         assert got == EXPECTED_NODE_SING[label]
 
@@ -152,27 +145,47 @@ class TestNodeDataset:
         with pytest.raises(ValueError):
             NodeOrbitRecord("TxV", 1, 12, 1, "Q8")
 
+    def test_meeting_lines_parse(self):
+        # a family pools columns of one orbit length (N(N') is N and N',
+        # Mi the numbered M columns); M and M' of OxT differ in length
+        assert node_records("OO2")[0].line_incidences == (
+            ("R", 18, 3), ("N", 16, 4), ("M", 72, 6))
+        assert node_records("OxT")[1].line_incidences == (
+            ("M", 18, 1), ("M", 36, 2))
+        assert node_records("VxV")[0].line_incidences == (("M", 2, 3),)
+        assert parse_meeting_lines("TT1", "3Mi+4N") == (
+            ("M", 6, 3), ("N", 16, 4))
+        with pytest.raises(ValueError, match="'2R'"):
+            parse_meeting_lines("TxT", "1M+2R")
 
-def _cells(report):
-    return ["%d%s" % (c, t) for c, t in report]
+
+def _quadric_cells(label):
+    cells = []
+    for r in quadric_point_rows(label, DEGREES[label]):
+        other = sum(r.fix) - r.transversal_order
+        cells.append("%d%s" % (r.number, quadric_point_singularity(
+            (r.transversal_order, other))))
+    return cells
+
+
+def _offquadric_cells(label):
+    return ["%d%s" % (r.number, ADEType("A", r.order - 1))
+            for r in offquadric_rows(label, DEGREES[label])]
 
 
 class TestSingularityReports:
     def test_quadric_cells(self):
-        assert _cells(quadric_reports("TxV", 6)) == ["6A2"]
-        assert quadric_reports("TT1", 6) == []
-        assert quadric_reports("VxV", 6) == []
-        assert sorted(_cells(quadric_reports("OxT", 8))) == [
-            "1A1", "2A1", "2A3"]
-        assert _cells(quadric_reports("OO2", 8)) == ["1A1", "1A1"]
-        assert _cells(quadric_reports("TxT", 8)) == ["2A1", "2A1"]
+        assert _quadric_cells("TxV") == ["6A2"]
+        assert _quadric_cells("TT1") == []
+        assert _quadric_cells("VxV") == []
+        assert sorted(_quadric_cells("OxT")) == ["1A1", "2A1", "2A3"]
+        assert _quadric_cells("OO2") == ["1A1", "1A1"]
+        assert _quadric_cells("TxT") == ["2A1", "2A1"]
 
     def test_offquadric_cells(self):
-        assert _cells(offquadric_reports("TT1", 6)) == [
-            "1A1", "1A1", "1A1", "6A2"]
-        assert _cells(offquadric_reports("OO2", 8)) == [
-            "4A1", "1A2", "1A2", "2A3"]
-        assert _cells(offquadric_reports("VxV", 6)) == ["1A1"] * 9
+        assert _offquadric_cells("TT1") == ["1A1", "1A1", "1A1", "6A2"]
+        assert _offquadric_cells("OO2") == ["4A1", "1A2", "1A2", "2A3"]
+        assert _offquadric_cells("VxV") == ["1A1"] * 9
 
 
 SMOOTH_NU = {

@@ -1,5 +1,9 @@
 """Config format round-trips and the table verification engine."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from k3pencils import data
@@ -24,7 +28,6 @@ edge L2 L3 mult=2
 
 class v = +L1 +L1 -L2
 class v = +L3
-node TxV 1 count=12 orbits=1 fix=T
 """
 
 
@@ -41,17 +44,7 @@ class TestParseConfig:
         cfg = parse_config(SMALL)
         # "+L1 +L1" means coefficient 2, the later line extends v
         assert cfg.classes["v"] == {"L1": 2, "L2": -1, "L3": 1}
-        assert cfg.class_names() == ("v",)
-
-    def test_node_record(self):
-        cfg = parse_config(SMALL)
-        assert len(cfg.nodes) == 1
-        rec = cfg.nodes[0]
-        assert rec.group == "TxV"
-        assert rec.fiber == 1
-        assert rec.node_count == 12
-        assert rec.orbit_count == 1
-        assert rec.fix_group.label == "T"
+        assert list(cfg.classes) == ["v"]
 
     def test_comments_and_blanks_skipped(self):
         cfg = parse_config("\n  # nothing here\ncurve A  # trailing\n\n")
@@ -61,7 +54,6 @@ class TestParseConfig:
         cfg = parse_config("")
         assert not cfg.graph.curves
         assert not cfg.classes
-        assert not cfg.nodes
 
 
 class TestParseErrors:
@@ -97,18 +89,6 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="usage: class"):
             parse_config("curve A\nclass v +A\n")
 
-    def test_node_bad_fiber(self):
-        with pytest.raises(ConfigError, match="bad fiber index"):
-            parse_config("node TxV x count=1 orbits=1 fix=T\n")
-
-    def test_node_unexpected_argument(self):
-        with pytest.raises(ConfigError, match="unexpected argument"):
-            parse_config("node TxV 1 count=1 orbits=1 size=3\n")
-
-    def test_node_duplicate_argument(self):
-        with pytest.raises(ConfigError, match="duplicate argument"):
-            parse_config("node TxV 1 count=1 count=2 fix=T\n")
-
     def test_error_is_value_error(self):
         # callers that only know ValueError still catch config problems
         with pytest.raises(ValueError):
@@ -122,10 +102,6 @@ class TestEmitConfig:
         assert again.graph.curves == cfg.graph.curves
         assert again.graph.edges == cfg.graph.edges
         assert again.classes == cfg.classes
-        assert [(r.group, r.fiber, r.node_count, r.orbit_count,
-                 r.fix_group.label) for r in again.nodes] == \
-               [(r.group, r.fiber, r.node_count, r.orbit_count,
-                 r.fix_group.label) for r in cfg.nodes]
 
     def test_round_trip_dataset_configs(self):
         for _ctx, _name, _p, text in data.DIVISIBLE_CLASSES:
@@ -239,6 +215,17 @@ class TestEmitReport:
     def test_unknown_format(self, all_results):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(all_results, "yaml")
+
+    def test_report_matches_pinned_reference(self, all_results):
+        # the benchmark pins the full report; it must stay byte-identical
+        refs = Path(__file__).resolve().parents[1] / "benchmarks" / \
+            "k3bench" / "refs.json"
+        want = json.loads(refs.read_text())["verify"]
+        text = emit_report(all_results)
+        assert hashlib.sha256(text.encode()).hexdigest() == want["sha256"]
+        summary = "%d cells: %d ok, %d known deviations, %d failures" % (
+            (len(all_results),) + tally(all_results))
+        assert summary == want["summary"]
 
 
 class TestGroupRegistry:

@@ -11,18 +11,18 @@ lines matter:
 * the base locus of the degree-n pencil: the unique ambient orbit of n
   ruling lines in each ruling.
 
-Lines are keyed by canonical Pluecker coordinates, so equality of
-lines is equality of keys no matter how they were produced.
+A line is keyed by the points that pin it: a ruling line by its side
+and its point of P^1, a transversal line by the unordered pair of
+points where it meets the quadric.  Equality of lines is equality of
+keys no matter how they were produced.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import (
-    ONE,
-    ZERO,
-    _rref,
     eig2,
     mat_vec,
     normalize_point,
@@ -41,68 +41,61 @@ def quadric_point(u, v):
     return normalize_vec4(quat_of_su2(m))
 
 
-def pluecker(a, b):
-    """Canonical Pluecker 6-vector of the line through a and b."""
-    p = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            p.append(a[i] * b[j] - a[j] * b[i])
-    for x in p:
-        if not x.is_zero():
-            inv = x.inv()
-            return tuple(inv * y for y in p)
-    raise ValueError("points do not span a line")
+def orbit_partition(seeds, images, key):
+    """Orbits through seeds, under generators mapping x to images(x).
+
+    Each orbit is a list sorted by key; the orbits come ordered by
+    (length, key of the first member).
+    """
+    pending = set(seeds)
+    orbits = []
+    while pending:
+        start = pending.pop()
+        orb = {start}
+        frontier = [start]
+        while frontier:
+            for y in images(frontier.pop()):
+                if y not in orb:
+                    orb.add(y)
+                    frontier.append(y)
+        pending -= orb
+        orbits.append(sorted(orb, key=key))
+    orbits.sort(key=lambda o: (len(o), key(o[0])))
+    return orbits
 
 
-def pluecker_relation(p):
-    return (p[0] * p[5] - p[1] * p[4] + p[2] * p[3]).is_zero()
+class Line(NamedTuple):
+    """A ruling line (side, point) or a transversal line (qpoints).
 
+    qpoints is the pair of quadric points (u, v) on the line, sorted,
+    so that the fields are canonical and equality is that of keys.
+    """
 
-class Line:
-    """A line in P^3, canonical under its Pluecker key."""
+    kind: str
+    side: str | None = None
+    point: tuple | None = None
+    qpoints: tuple | None = None
 
-    __slots__ = ("kind", "side", "point", "qpoints", "basis", "key",
-                 "type_tag")
-
-    def __init__(self, kind, basis, side=None, point=None, qpoints=None,
-                 type_tag=None):
-        self.kind = kind
-        rows, pivots = _rref(basis)
-        if len(pivots) != 2:
-            raise ValueError("line basis is degenerate")
-        self.basis = tuple(rows)
-        self.key = pluecker(*self.basis)
-        assert pluecker_relation(self.key)
-        self.side = side
-        self.point = point
-        self.qpoints = qpoints
-        self.type_tag = type_tag
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
+    @property
+    def key(self):
+        """("ruling", side, point) or ("transversal", qpoints)."""
         if self.kind == "ruling":
-            return f"Line(ruling {self.side}, {self.point})"
-        return f"Line(transversal {self.type_tag}, {self.qpoints})"
+            return ("ruling", self.side, self.point)
+        return ("transversal", self.qpoints)
+
+    def sort_key(self):
+        """One total order on lines of both kinds."""
+        pin = self.point if self.kind == "ruling" else self.qpoints
+        return (self.kind, self.side or "", flat_key(pin))
 
 
 def ruling_line(side, pt):
-    e0, e1 = (ONE, ZERO), (ZERO, ONE)
-    if side == "left":
-        basis = (quadric_point(pt, e0), quadric_point(pt, e1))
-    else:
-        basis = (quadric_point(e0, pt), quadric_point(e1, pt))
-    return Line("ruling", basis, side=side, point=pt)
+    return Line("ruling", side=side, point=pt)
 
 
-def transversal_line(qp1, qp2, type_tag=None):
-    qps = tuple(sorted((qp1, qp2), key=flat_key))
-    basis = (quadric_point(*qps[0]), quadric_point(*qps[1]))
-    return Line("transversal", basis, qpoints=qps, type_tag=type_tag)
+def transversal_line(qp1, qp2):
+    return Line("transversal",
+                qpoints=tuple(sorted((qp1, qp2), key=flat_key)))
 
 
 _EIG_CACHE = {}
@@ -126,7 +119,6 @@ def act_line(e, line):
     return transversal_line(
         (act_point(e.P, u1), act_point(e.Q, v1)),
         (act_point(e.P, u2), act_point(e.Q, v2)),
-        type_tag=line.type_tag,
     )
 
 
@@ -143,7 +135,6 @@ def fix_lines(e):
     sp, sq = scalar_of(e.P), scalar_of(e.Q)
     if sp is not None and sq is not None:
         raise ValueError("projectively trivial element fixes all of P^3")
-    tag = ORDER_TAGS.get(e.proj_order())
     if sq is not None:
         return [ruling_line("left", u) for _, u in eig2_cached(e.P)]
     if sp is not None:
@@ -152,50 +143,20 @@ def fix_lines(e):
     (m1, v1), (m2, v2) = eig2_cached(e.Q)
     out = []
     if l1 * m1 == l2 * m2:
-        out.append(transversal_line((u1, v1), (u2, v2), type_tag=tag))
+        out.append(transversal_line((u1, v1), (u2, v2)))
     if l1 * m2 == l2 * m1:
-        out.append(transversal_line((u1, v2), (u2, v1), type_tag=tag))
+        out.append(transversal_line((u1, v2), (u2, v1)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # ruling actions and their fixed points
 
-class RulingAction:
-    """The Moebius action of one side of a group on its P^1."""
-
-    def __init__(self, g, side):
-        self.side = side
-        mats = []
-        seen = set()
-        for e in g.generators:
-            m = canon2(e.P if side == "left" else e.Q)
-            if m not in seen:
-                seen.add(m)
-                mats.append(m)
-        self.mats = tuple(mats)
-
-    def orbit(self, pt):
-        orb = {pt}
-        frontier = [pt]
-        while frontier:
-            x = frontier.pop()
-            for m in self.mats:
-                y = act_point(m, x)
-                if y not in orb:
-                    orb.add(y)
-                    frontier.append(y)
-        return orb
-
-    def orbits(self, points):
-        pending = set(points)
-        out = []
-        while pending:
-            orb = self.orbit(pending.pop())
-            pending -= orb
-            out.append(orb)
-        out.sort(key=lambda o: (len(o), min(flat_key(p) for p in o)))
-        return out
+def ruling_orbits(g, side, points):
+    """Orbits of points of one ruling under that side of g."""
+    mats = {canon2(e.P if side == "left" else e.Q) for e in g.generators}
+    return orbit_partition(
+        points, lambda pt: [act_point(m, pt) for m in mats], flat_key)
 
 
 def pure_fix_points(g, side):
@@ -223,9 +184,8 @@ def pure_fix_points(g, side):
 def orbits_on_ruling(g, side):
     """Orbit lengths of the pure fixed points, grouped by fixer order."""
     pts = pure_fix_points(g, side)
-    action = RulingAction(g, side)
     table = {}
-    for orb in action.orbits(pts):
+    for orb in ruling_orbits(g, side, pts):
         orders = {pts[p] for p in orb}
         assert len(orders) == 1, "fixer order must be constant on an orbit"
         table.setdefault(orders.pop(), []).append(len(orb))
@@ -239,8 +199,8 @@ def base_points(degree):
     sides = []
     for side in ("left", "right"):
         pts = pure_fix_points(amb, side)
-        orbits = RulingAction(amb, side).orbits(pts)
-        hits = [o for o in orbits if len(o) == degree]
+        hits = [o for o in ruling_orbits(amb, side, pts)
+                if len(o) == degree]
         assert len(hits) == 1, (
             f"ambient ruling orbit of length {degree} is not unique"
         )
@@ -260,24 +220,9 @@ def base_locus(degree):
 # line orbits, stabilizers, fix-groups
 
 def line_orbits(pg, lines):
-    index = {ln.key: ln for ln in lines}
-    pending = set(index)
-    orbits = []
-    while pending:
-        key = pending.pop()
-        orb = {key: index[key]}
-        frontier = [index[key]]
-        while frontier:
-            ln = frontier.pop()
-            for e in pg.generators:
-                img = act_line(e, ln)
-                if img.key not in orb:
-                    orb[img.key] = img
-                    frontier.append(img)
-        pending -= orb.keys()
-        orbits.append(sorted(orb.values(), key=lambda x: flat_key(x.key)))
-    orbits.sort(key=lambda o: (len(o), flat_key(o[0].key)))
-    return orbits
+    return orbit_partition(
+        lines, lambda ln: [act_line(e, ln) for e in pg.generators],
+        Line.sort_key)
 
 
 def _proj_eq2(a, b):
@@ -340,27 +285,22 @@ def fix_group(pg, line):
 
 def line_inventory(pg):
     """All transversal fix-lines of the group, deduplicated."""
-    lines = {}
+    lines = set()
     for e in pg:
         if scalar_of(e.P) is None and scalar_of(e.Q) is None:
-            for ln in fix_lines(e):
-                lines.setdefault(ln.key, ln)
-    return sorted(lines.values(), key=lambda x: flat_key(x.key))
+            lines.update(fix_lines(e))
+    return sorted(lines, key=Line.sort_key)
 
 
-class FixLineOrbit:
+class FixLineOrbit(NamedTuple):
     """One row of a fix-line table: an orbit with its local data."""
 
-    __slots__ = ("type_tag", "length", "fix_order", "stab_order", "rep",
-                 "order")
-
-    def __init__(self, type_tag, length, fix_order, stab_order, rep, order):
-        self.type_tag = type_tag
-        self.length = length
-        self.fix_order = fix_order
-        self.stab_order = stab_order
-        self.rep = rep
-        self.order = order
+    type_tag: str
+    length: int
+    fix_order: int
+    stab_order: int
+    rep: Line
+    order: int
 
     @property
     def ratio(self):
@@ -382,10 +322,8 @@ def fixlines_table(label):
         fix = fix_group(pg, rep)
         assert len(orb) * len(stab) == pg.order(), "orbit-stabilizer broken"
         order = max(e.proj_order() for e in fix if not e.is_proj_trivial())
-        tag = ORDER_TAGS[order]
-        rep.type_tag = tag
-        rows.append(FixLineOrbit(tag, len(orb), len(fix), len(stab), rep,
-                                 order))
+        rows.append(FixLineOrbit(ORDER_TAGS[order], len(orb), len(fix),
+                                 len(stab), rep, order))
     rows.sort(key=lambda r: (r.order, r.length))
     return tuple(rows)
 
@@ -406,23 +344,10 @@ def meeting_point_orbits(pg, left_lines, right_lines):
 
 
 def _point_pair_orbits(pg, points):
-    pending = set(points)
-    orbits = []
-    while pending:
-        start = pending.pop()
-        orb = {start}
-        frontier = [start]
-        while frontier:
-            u, v = frontier.pop()
-            for e in pg.generators:
-                img = (act_point(e.P, u), act_point(e.Q, v))
-                if img not in orb:
-                    orb.add(img)
-                    frontier.append(img)
-        pending -= orb
-        orbits.append(orb)
-    orbits.sort(key=lambda o: (len(o), min(flat_key(p) for p in o)))
-    return orbits
+    def images(uv):
+        u, v = uv
+        return [(act_point(e.P, u), act_point(e.Q, v)) for e in pg.generators]
+    return orbit_partition(points, images, flat_key)
 
 
 def points_off_quadric(line, degree):
@@ -442,16 +367,13 @@ def points_off_quadric(line, degree):
 # ---------------------------------------------------------------------------
 # quadric-point singular loci (base lines crossed by other fix points)
 
-class QuadricPointRow:
+class QuadricPointRow(NamedTuple):
     """Aggregated orbits of quadric fix-points on the base locus."""
 
-    __slots__ = ("fix", "length", "number", "transversal_order")
-
-    def __init__(self, fix, length, number, transversal_order):
-        self.fix = fix  # (left order, right order), display convention
-        self.length = length
-        self.number = number
-        self.transversal_order = transversal_order
+    fix: tuple  # (left order, right order), display convention
+    length: int
+    number: int
+    transversal_order: int
 
     def __repr__(self):
         a, b = self.fix
@@ -498,14 +420,11 @@ def quadric_point_rows(label, degree):
 # ---------------------------------------------------------------------------
 # off-quadric singular loci (points on transversal fix-lines)
 
-class OffQuadricRow:
-    __slots__ = ("type_tag", "order", "length", "number")
-
-    def __init__(self, type_tag, order, length, number):
-        self.type_tag = type_tag
-        self.order = order
-        self.length = length  # |H_L| / |F_L|, the generic orbit length
-        self.number = number
+class OffQuadricRow(NamedTuple):
+    type_tag: str
+    order: int
+    length: int  # |H_L| / |F_L|, the generic orbit length
+    number: int
 
     def __repr__(self):
         return (f"OffQuadricRow({self.type_tag}, o={self.order}, "

@@ -176,14 +176,13 @@ def binary_quotient_type(f):
     return ADEType("E", {"T": 6, "O": 7, "I": 8}[f.kind])
 
 
-def quadric_point_singularity(stab):
+def quadric_point_singularity(a):
     """Quotient type at a base-line point with stabilizer Z_a x Z_b.
 
-    The pair is ordered (transversal factor, factor fixing the base
-    line pointwise); only the transversal factor acts on a disc
-    normal to the branch curve, so the image point is an A_{a-1}.
+    a is the order of the transversal factor; the other factor fixes
+    the base line pointwise, so only the transversal factor acts on a
+    disc normal to the branch curve, and the image point is an A_{a-1}.
     """
-    a, _ = stab
     if a < 2:
         raise ValueError("transversal factor must act nontrivially")
     return ADEType("A", a - 1)

@@ -207,10 +207,7 @@ def _build_sing():
                 yield prefix + ".fix", r[2], "Z%dxZ%d" % c.fix
                 yield prefix + ".length", r[3], c.length
                 yield prefix + ".number", r[4], c.number
-                sing = quadric_point_singularity(
-                    (c.transversal_order,
-                     c.fix[0] if c.fix[1] == c.transversal_order
-                     else c.fix[1]))
+                sing = quadric_point_singularity(c.transversal_order)
                 yield (prefix + ".sing", r[5],
                        _sing_str(c.number, sing, keep_one=True))
 

@@ -201,9 +201,7 @@ def test_criterion_05_singularity_cells():
         want = sorted(r[5] for r in data.QUADRIC_POINTS if r[0] == label)
         got = []
         for row in quadric_point_rows(label, degree):
-            other = (row.fix[0] if row.fix[1] == row.transversal_order
-                     else row.fix[1])
-            ade = quadric_point_singularity((row.transversal_order, other))
+            ade = quadric_point_singularity(row.transversal_order)
             got.append(_sing(row.number, ade, keep_one=True))
         if sorted(got) != want:
             mismatches.append("%s quadric sing %r != %r"

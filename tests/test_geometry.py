@@ -15,10 +15,16 @@ from k3pencils.algebra import (
     mat_vec,
     quat_mul,
 )
-from k3pencils.groups import Element, generate_group, group, pgroup, projectivize
+from k3pencils.groups import (
+    GROUP_LABELS,
+    Element,
+    generate_group,
+    group,
+    pgroup,
+    projectivize,
+)
 from k3pencils.geometry import (
     Line,
-    RulingAction,
     act_line,
     base_locus,
     base_points,
@@ -33,12 +39,12 @@ from k3pencils.geometry import (
     nu3_smooth,
     offquadric_rows,
     orbits_on_ruling,
-    pluecker_relation,
     points_off_quadric,
     pure_fix_points,
     quadric_point,
     quadric_point_rows,
     ruling_line,
+    ruling_orbits,
     stabilizer,
     transversal_line,
 )
@@ -87,12 +93,28 @@ class TestRulingOrbits:
         assert sorted(pts.values()).count(4) == 6
 
     def test_ruling_action_orbit(self):
-        act = RulingAction(group("TxT"), "left")
         pts = pure_fix_points(group("TxT"), "left")
         # order-2 points form a single orbit of 6
         twos = {p for p, o in pts.items() if o == 2}
         some = next(iter(twos))
-        assert act.orbit(some) == twos
+        (orbit,) = ruling_orbits(group("TxT"), "left", [some])
+        assert set(orbit) == twos
+
+
+def _pluecker(line):
+    """Normalised Pluecker 6-vector of the span of two points of a line."""
+    if line.kind == "transversal":
+        qps = line.qpoints
+    elif line.side == "left":
+        qps = [(line.point, (ONE, ZERO)), (line.point, (ZERO, ONE))]
+    else:
+        qps = [((ONE, ZERO), line.point), ((ZERO, ONE), line.point)]
+    a, b = (quadric_point(*qp) for qp in qps)
+    p = [a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)]
+    lead = [x for x in p if not x.is_zero()]
+    assert lead, "points do not span a line"
+    inv = lead[0].inv()
+    return tuple(inv * x for x in p)
 
 
 class TestFixLines:
@@ -115,7 +137,6 @@ class TestFixLines:
         lines = fix_lines(e)
         assert len(lines) == 2
         assert all(ln.kind == "transversal" for ln in lines)
-        assert all(ln.type_tag == "M" for ln in lines)
 
     def test_order_three_diagonal_fixes_one_line(self):
         # the second eigenvalue pairing has distinct products, leaving
@@ -123,13 +144,11 @@ class TestFixLines:
         e = Element.from_quats(P3, P3)
         lines = fix_lines(e)
         assert len(lines) == 1
-        assert lines[0].type_tag == "N"
 
     def test_order_four_diagonal_fixes_one_line(self):
         e = Element.from_quats(P4, P4)
         lines = fix_lines(e)
         assert len(lines) == 1
-        assert lines[0].type_tag == "R"
 
     def test_lines_are_eigenspaces_of_the_4x4(self):
         for p, q in [(Q1, Q1), (P3, P3), (P4, P4), (Q1, Q2)]:
@@ -140,8 +159,8 @@ class TestFixLines:
             ]
             lines = fix_lines(e)
             assert len(lines) == len(planes)
-            # each line's basis must lie inside one 2-dim eigenspace:
-            # check by eigenvector property
+            # each line's two quadric points must lie inside one 2-dim
+            # eigenspace: check by eigenvector property
             for ln in lines:
                 found = False
                 for lam, basis in eigenspaces(m):
@@ -149,7 +168,7 @@ class TestFixLines:
                         continue
                     if all(
                         mat_vec(m, vec) == tuple(lam * x for x in vec)
-                        for vec in ln.basis
+                        for vec in (quadric_point(*qp) for qp in ln.qpoints)
                     ):
                         found = True
                 assert found
@@ -168,11 +187,18 @@ class TestFixLines:
                 norm = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
                 assert norm.is_zero()
 
-    def test_pluecker_relation(self):
-        ln = fix_lines(Element.from_quats(Q1, Q2))[0]
-        assert pluecker_relation(ln.key)
-        rl = ruling_line("left", (ONE, ONE))
-        assert pluecker_relation(rl.key)
+    def test_keys_match_pluecker_coordinates(self):
+        # oracle: a line's key is its pinning points, so two lines must
+        # share a key exactly when their spans in P^3 agree
+        lines = base_locus(6) + base_locus(8)
+        for label in GROUP_LABELS:
+            lines += line_inventory(pgroup(label))
+        pairs = {(ln.key, _pluecker(ln)) for ln in lines}
+        keys = {k for k, _ in pairs}
+        vecs = {p for _, p in pairs}
+        assert len(keys) == len(vecs) == len(pairs)
+        for p in vecs:
+            assert (p[0] * p[5] - p[1] * p[4] + p[2] * p[3]).is_zero()
 
     def test_line_equality_across_constructions(self):
         # the fix lines of (q1, q1) and of (p4, p4) overlap in the span
@@ -192,13 +218,11 @@ class TestBaseLocus:
         # orbit is the only one of the right length
         amb6 = group("TxT")
         pts = pure_fix_points(amb6, "left")
-        lens = sorted(len(o) for o in RulingAction(amb6, "left").orbits(pts))
+        lens = sorted(len(o) for o in ruling_orbits(amb6, "left", pts))
         assert lens == [4, 4, 6]
         amb8 = group("OxO")
         pts8 = pure_fix_points(amb8, "left")
-        lens8 = sorted(
-            len(o) for o in RulingAction(amb8, "left").orbits(pts8)
-        )
+        lens8 = sorted(len(o) for o in ruling_orbits(amb8, "left", pts8))
         assert lens8 == [6, 8, 12]
 
     def test_base_points_cached_and_sided(self):
@@ -215,6 +239,19 @@ class TestFixLineTables:
             (r.type_tag, r.length, r.fix_order, r.ratio) for r in rows
         )
         assert got == sorted(FIXLINE_TABLES[label])
+
+    def test_cached_rows_are_immutable(self):
+        row = fixlines_table("OO2")[0]
+        with pytest.raises(AttributeError):
+            row.type_tag = "R"
+        with pytest.raises(AttributeError):
+            row.rep.qpoints = None
+        with pytest.raises(AttributeError):
+            row.rep.type_tag = "R"
+        with pytest.raises(AttributeError):
+            quadric_point_rows("OxT", 8)[0].number = 0
+        with pytest.raises(AttributeError):
+            offquadric_rows("OxT", 8)[0].number = 0
 
     def test_orbit_stabilizer_identity(self):
         pg = pgroup("TT1")

@@ -104,11 +104,11 @@ class TestBinaryQuotientType:
 
 class TestPointClassifiers:
     def test_quadric_point_rules(self):
-        assert quadric_point_singularity((3, 2)) == ADEType("A", 2)
-        assert quadric_point_singularity((4, 3)) == ADEType("A", 3)
-        assert quadric_point_singularity((2, 3)) == ADEType("A", 1)
+        assert quadric_point_singularity(3) == ADEType("A", 2)
+        assert quadric_point_singularity(4) == ADEType("A", 3)
+        assert quadric_point_singularity(2) == ADEType("A", 1)
         with pytest.raises(ValueError):
-            quadric_point_singularity((1, 5))
+            quadric_point_singularity(1)
 
 
 EXPECTED_NODE_SING = {
@@ -160,12 +160,8 @@ class TestNodeDataset:
 
 
 def _quadric_cells(label):
-    cells = []
-    for r in quadric_point_rows(label, DEGREES[label]):
-        other = sum(r.fix) - r.transversal_order
-        cells.append("%d%s" % (r.number, quadric_point_singularity(
-            (r.transversal_order, other))))
-    return cells
+    return ["%d%s" % (r.number, quadric_point_singularity(r.transversal_order))
+            for r in quadric_point_rows(label, DEGREES[label])]
 
 
 def _offquadric_cells(label):

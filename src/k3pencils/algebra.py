@@ -444,10 +444,3 @@ def normalize_point(v):
     assert not b.is_zero(), "zero vector is not a projective point"
     return (ZERO, ONE)
 
-
-def normalize_vec4(v):
-    for x in v:
-        if not x.is_zero():
-            inv = x.inv()
-            return tuple(inv * y for y in v)
-    raise ValueError("zero vector is not a projective point")

@@ -1,16 +1,20 @@
-"""Finite rotation groups stored as pairs of SU(2) matrices.
+"""Finite rotation groups as index pairs into one exact table of 2O.
 
-A rotation x -> p x qbar of the quaternion algebra is kept as the pair
-(P, Q) with P the 2x2 image of p and Q the entrywise conjugate of the
-image of q; the pair is determined up to a joint sign, which we fix by
-making the first nonzero integer coordinate positive.  Products and
-inverses then cost a pair of 2x2 multiplications instead of 4x4 work,
-and the two factors act separately on the two rulings of the quadric,
-which is what all the orbit computations downstream want.  The honest
-4x4 rotation matrix is reconstructed on demand.
+A rotation x -> p x qbar of the quaternion algebra is the pair (P, Q)
+with P the 2x2 image of p and Q the entrywise conjugate of the image
+of q, up to a joint sign.  Every such factor here lies in the binary
+octahedral group 2O; binary_octahedral() tabulates its 48 matrices and
+their action on the 26 special points of P^1 once, exactly, on first
+use.  An Element is a pair of indices into that table, so products and
+inverses are lookups; its matrices and 4x4 rotation are read back.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import cache
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import (
     P3,
@@ -18,14 +22,16 @@ from .algebra import (
     Q1,
     Q2,
     QUAT_ONE,
+    ROOTS24,
     Cyc,
+    eig2,
     mat2_conj,
     mat4_of_pair,
     mat_identity,
     mat_mul,
+    mat_vec,
+    normalize_point,
     quat_mul,
-    scalar_of,
-    su2_inv,
     su2_of_quat,
 )
 
@@ -43,73 +49,147 @@ C_SWAP = tuple(
 )
 
 
-def _first_sign(*mats):
-    for m in mats:
-        for row in m:
-            for entry in row:
-                for c in entry.num:
-                    if c:
-                        return 1 if c > 0 else -1
-    return 0
+class OctahedralTable(NamedTuple):
+    """2O and its action on P^1, indexed by small ints.
+
+    mats[0] is the identity; mul, inv, neg and conj are the product,
+    inverse, sign flip and mat2_conj on indices.  points are the 26
+    eigenpoints in flat_key order, so index tuples sort as coordinate
+    tuples do; act[a][p] is the image of point p under mats[a].  eig[a]
+    maps the fixed points of a nonscalar mats[a], in increasing k, to
+    the exponent k of its eigenvalue zeta_24^k there; None for +-1.
+    """
+
+    mats: tuple
+    index: dict
+    mul: tuple
+    inv: tuple
+    neg: tuple
+    conj: tuple
+    points: tuple
+    act: tuple
+    eig: tuple
 
 
-def _neg2(m):
-    return tuple(tuple(-x for x in row) for row in m)
+@cache
+def binary_octahedral():
+    """Build the table from the generator factors of the seven groups.
+
+    Left products by the generators close up to 2O along a spanning
+    tree (each element a generator times its parent); the product table
+    and point permutations follow from those of the generators.
+    """
+    gens = sorted({m for pairs in _GENERATOR_PAIRS.values()
+                   for p, q in pairs
+                   for m in (su2_of_quat(p), mat2_conj(su2_of_quat(q)))}
+                  - {ID2}, key=flat_key)
+    mats, index, tree = [ID2], {ID2: 0}, [None]
+    left = [[] for _ in gens]
+    for x, m in enumerate(mats):  # mats grows while it is scanned
+        for j, g in enumerate(gens):
+            y = mat_mul(g, m)
+            if y not in index:
+                index[y] = len(mats)
+                mats.append(y)
+                tree.append((x, j))
+            left[j].append(index[y])
+    eigs = [eig2(m) for m in mats]
+    points = sorted({v for e in eigs if e for _, v in e}, key=flat_key)
+    at = {v: i for i, v in enumerate(points)}
+    exponent = {lam: k for k, lam in enumerate(ROOTS24)}
+
+    def along_tree(perms, n):
+        rows = [tuple(range(n))]
+        for parent, j in tree[1:]:
+            rows.append(tuple(perms[j][v] for v in rows[parent]))
+        return tuple(rows)
+
+    mul = along_tree(left, len(mats))
+    minus = index[tuple(tuple(-c for c in r) for r in ID2)]
+    return OctahedralTable(
+        mats=tuple(mats),
+        index=index,
+        mul=mul,
+        inv=tuple(row.index(0) for row in mul),
+        neg=tuple(row[minus] for row in mul),
+        conj=tuple(index[mat2_conj(m)] for m in mats),
+        points=tuple(points),
+        act=along_tree([[at[normalize_point(mat_vec(g, v))]
+                         for v in points] for g in gens], len(points)),
+        eig=tuple(e and {at[v]: exponent[lam] for lam, v in e}
+                  for e in eigs),
+    )
 
 
-def canon2(m):
-    """Sign-canonical representative of {m, -m}."""
-    return _neg2(m) if _first_sign(m) < 0 else m
+def point_coords(p):
+    """P^1 coordinates (first nonzero one is 1) of special point p."""
+    return binary_octahedral().points[p]
 
 
-class Element:
-    """A rotation, canonical under the joint sign flip of its pair."""
+class Element(namedtuple("Element", "a b")):
+    """A rotation as an index pair (a, b) into binary_octahedral().
 
-    __slots__ = ("P", "Q", "_hash")
+    The pair is canonical under the joint sign (a, b) ~ (-a, -b): a is
+    the smaller of a and its negative.
+    """
 
-    def __init__(self, P, Q):
-        if _first_sign(P) < 0:
-            P, Q = _neg2(P), _neg2(Q)
-        self.P = P
-        self.Q = Q
-        self._hash = hash((P, Q))
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        neg = binary_octahedral().neg
+        if neg[a] < a:
+            a, b = neg[a], neg[b]
+        return super().__new__(cls, a, b)
 
     @classmethod
     def from_quats(cls, p, q):
-        return cls(su2_of_quat(p), mat2_conj(su2_of_quat(q)))
+        index = binary_octahedral().index
+        try:
+            return cls(index[su2_of_quat(p)],
+                       index[mat2_conj(su2_of_quat(q))])
+        except KeyError:
+            raise ValueError("rotation factor outside the binary"
+                             " octahedral group") from None
 
     @classmethod
     def identity(cls):
-        return cls(ID2, ID2)
+        return cls(0, 0)
+
+    @property
+    def P(self):
+        return binary_octahedral().mats[self.a]
+
+    @property
+    def Q(self):
+        return binary_octahedral().mats[self.b]
 
     def __mul__(self, other):
-        return Element(mat_mul(self.P, other.P), mat_mul(self.Q, other.Q))
+        mul = binary_octahedral().mul
+        return Element(mul[self.a][other.a], mul[self.b][other.b])
 
     def inv(self):
-        return Element(su2_inv(self.P), su2_inv(self.Q))
-
-    def __eq__(self, other):
-        return self.P == other.P and self.Q == other.Q
-
-    def __hash__(self):
-        return self._hash
+        inv = binary_octahedral().inv
+        return Element(inv[self.a], inv[self.b])
 
     def matrix4(self):
         return mat4_of_pair(self.P, self.Q)
 
     def proj_key(self):
         """Canonical key modulo scalars of P^3 (signs flip independently)."""
-        return (canon2(self.P), canon2(self.Q))
+        neg = binary_octahedral().neg
+        return (min(self.a, neg[self.a]), min(self.b, neg[self.b]))
 
     def swap(self):
         """Conjugate by C_SWAP: exchanges the two ruling factors."""
-        return Element(mat2_conj(self.Q), mat2_conj(self.P))
+        conj = binary_octahedral().conj
+        return Element(conj[self.b], conj[self.a])
 
     def is_identity(self):
-        return self.P == ID2 and self.Q == ID2
+        return self.a == self.b == 0
 
     def is_proj_trivial(self):
-        return scalar_of(self.P) is not None and scalar_of(self.Q) is not None
+        eig = binary_octahedral().eig
+        return eig[self.a] is None and eig[self.b] is None
 
     def order(self):
         acc = self
@@ -120,15 +200,11 @@ class Element:
         raise AssertionError("rotation order exceeds 24")
 
     def proj_order(self):
-        acc = self
-        for n in range(1, 25):
-            if acc.is_proj_trivial():
-                return n
-            acc = acc * self
-        raise AssertionError("projective order exceeds 24")
-
-    def __repr__(self):
-        return f"Element(P={self.P!r}, Q={self.Q!r})"
+        # a nonscalar factor with eigenvalues zeta_24^(+-k) turns P^1
+        # by zeta_24^(2k), of order 24 / gcd(24, 2k)
+        eig = binary_octahedral().eig
+        return lcm(*(24 // gcd(24, 2 * next(iter(eig[x].values())))
+                     if eig[x] else 1 for x in (self.a, self.b)))
 
 
 class Group:
@@ -154,20 +230,24 @@ def generate_group(name, generators, cap=10000):
     """Close a generator list under multiplication (breadth-first)."""
     gens = [g if isinstance(g, Element) else Element.from_quats(*g)
             for g in generators]
-    seen = {Element.identity()}
-    frontier = list(seen)
+    table = binary_octahedral()
+    mul, neg = table.mul, table.neg
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
     while frontier:
         new = []
-        for e in frontier:
-            for g in gens:
-                x = e * g
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
+        for a, b in frontier:
+            for c, d in gens:
+                x, y = mul[a][c], mul[b][d]
+                if neg[x] < x:
+                    x, y = neg[x], neg[y]
+                if (x, y) not in seen:
+                    seen.add((x, y))
+                    new.append((x, y))
                     if len(seen) > cap:
                         raise ValueError("group too large or not finite")
         frontier = new
-    return Group(name, gens, seen)
+    return Group(name, gens, (Element(a, b) for a, b in seen))
 
 
 class ProjectiveGroup:
@@ -216,6 +296,8 @@ def is_normal(h, g):
 def index(h, g):
     if not is_subgroup(h, g):
         raise ValueError(f"{h.name} is not a subgroup of {g.name}")
+    # Lagrange: an internal invariant once h is a subgroup, not a check
+    # on user input, so python -O may strip it
     assert g.order() % h.order() == 0
     return g.order() // h.order()
 
@@ -256,8 +338,8 @@ def conjugacy_classes(g):
                 ck = (x * e * x.inv()).proj_key()
                 orbit.add(ck)
             keys -= orbit
-            classes.append(sorted(orbit, key=flat_key))
-        classes.sort(key=lambda cl: (len(cl), flat_key(cl[0])))
+            classes.append(sorted(orbit))
+        classes.sort(key=lambda cl: (len(cl), cl[0]))
         return classes
     pool = set(g.elements)
     all_elems = list(g.elements)

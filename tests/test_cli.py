@@ -1,7 +1,10 @@
 """Command line surface: exit codes and output shapes."""
 
+import hashlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,23 @@ class TestVerify:
         assert "18 cells" in captured.err
 
 
+class TestPinnedQueries:
+    def test_outputs_match_benchmark_digests(self, capsys):
+        # the benchmark pins these 43 outputs byte for byte, so a change
+        # of orbit, row or line order shows up here too
+        refs = Path(__file__).resolve().parents[1] / "benchmarks" / \
+            "k3bench" / "refs.json"
+        want = json.loads(refs.read_text())["query"]
+        wrong = []
+        for call, digest in sorted(want.items()):
+            assert main(call.split()) == 0, call
+            out = capsys.readouterr().out.encode()
+            if hashlib.sha256(out).hexdigest() != digest:
+                wrong.append(call)
+        assert len(want) == 43
+        assert wrong == []
+
+
 class TestArgparseBehaviour:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -244,6 +264,22 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "TxV" in proc.stdout
     assert "1152" in proc.stdout
+
+
+def test_octahedral_table_is_built_lazily_and_once():
+    # importing the CLI must not pay for the table (setup time of every
+    # one-shot command); the first closure builds it, once
+    code = ("import k3pencils.cli\n"
+            "from k3pencils.groups import binary_octahedral, group\n"
+            "info = binary_octahedral.cache_info\n"
+            "print(info().currsize)\n"
+            "group('VxV')\n"
+            "group('OxO')\n"
+            "print(info().currsize, info().misses)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "1"]
 
 
 # argument checks that must hold with asserts compiled out

@@ -14,6 +14,7 @@ from k3pencils.algebra import (
     eigenspaces,
     mat_vec,
     quat_mul,
+    quat_of_su2,
 )
 from k3pencils.groups import (
     GROUP_LABELS,
@@ -21,6 +22,7 @@ from k3pencils.groups import (
     generate_group,
     group,
     pgroup,
+    point_coords,
     projectivize,
 )
 from k3pencils.geometry import (
@@ -41,7 +43,6 @@ from k3pencils.geometry import (
     orbits_on_ruling,
     points_off_quadric,
     pure_fix_points,
-    quadric_point,
     quadric_point_rows,
     ruling_line,
     ruling_orbits,
@@ -101,14 +102,27 @@ class TestRulingOrbits:
         assert set(orbit) == twos
 
 
+def _point(coords):
+    """Index of the special point of P^1 with these coordinates."""
+    return next(p for p in range(26) if point_coords(p) == coords)
+
+
+def quadric_point(u, v):
+    """P^3 coordinates, up to scale, of the quadric point (u, v)."""
+    (u0, u1), (v0, v1) = point_coords(u), point_coords(v)
+    return quat_of_su2(((u0 * v0, u0 * v1), (u1 * v0, u1 * v1)))
+
+
 def _pluecker(line):
     """Normalised Pluecker 6-vector of the span of two points of a line."""
     if line.kind == "transversal":
         qps = line.qpoints
     elif line.side == "left":
-        qps = [(line.point, (ONE, ZERO)), (line.point, (ZERO, ONE))]
+        qps = [(line.point, _point((ONE, ZERO))),
+               (line.point, _point((ZERO, ONE)))]
     else:
-        qps = [((ONE, ZERO), line.point), ((ZERO, ONE), line.point)]
+        qps = [(_point((ONE, ZERO)), line.point),
+               (_point((ZERO, ONE)), line.point)]
     a, b = (quadric_point(*qp) for qp in qps)
     p = [a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)]
     lead = [x for x in p if not x.is_zero()]
@@ -343,8 +357,8 @@ class TestMeetingPoints:
 
     def test_trivial_group_single_point(self):
         triv = projectivize(generate_group("e", []))
-        left = [ruling_line("left", (ONE, ONE))]
-        right = [ruling_line("right", (ONE, -ONE))]
+        left = [ruling_line("left", _point((ONE, ONE)))]
+        right = [ruling_line("right", _point((ONE, -ONE)))]
         assert meeting_point_orbits(triv, left, right) == [1]
 
 
@@ -428,7 +442,7 @@ class TestSingularLoci:
 class TestLineActions:
     def test_act_preserves_kind(self):
         e = Element.from_quats(P3, P4)
-        rl = ruling_line("left", (ONE, ZERO))
+        rl = ruling_line("left", _point((ONE, ZERO)))
         assert act_line(e, rl).kind == "ruling"
         tl = fix_lines(Element.from_quats(Q1, Q1))[0]
         assert act_line(e, tl).kind == "transversal"
@@ -440,8 +454,8 @@ class TestLineActions:
         assert act_line(a, act_line(b, ln)).key == act_line(a * b, ln).key
 
     def test_transversal_line_canonical_order(self):
-        u1, v1 = (ONE, I), (ZERO, ONE)
-        u2, v2 = (ONE, -I), (ONE, ZERO)
+        u1, v1 = _point((ONE, I)), _point((ZERO, ONE))
+        u2, v2 = _point((ONE, -I)), _point((ONE, ZERO))
         assert transversal_line((u1, v1), (u2, v2)).key == transversal_line(
             (u2, v2), (u1, v1)
         ).key

@@ -2,16 +2,38 @@
 
 import pytest
 
-from k3pencils.algebra import P3, P4, Q1, Q2, Q3, QUAT_ONE, quat_mul
+from k3pencils.algebra import (
+    ONE,
+    P3,
+    P4,
+    Q1,
+    Q2,
+    Q3,
+    QUAT_ONE,
+    ROOTS24,
+    eig2,
+    mat2_conj,
+    mat_identity,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    normalize_point,
+    quat_mul,
+    su2_inv,
+    su2_of_quat,
+)
 from k3pencils.groups import (
+    _GENERATOR_PAIRS,
     AMBIENT,
     C_SWAP,
     DEFAULT_DEGREE,
     GROUP_LABELS,
     PENCILS,
     Element,
+    binary_octahedral,
     conjugacy_classes,
     conjugate_group,
+    flat_key,
     generate_group,
     group,
     index,
@@ -62,6 +84,78 @@ class TestRegistry:
 
     def test_all_labels_have_default_degree(self):
         assert set(GROUP_LABELS) == set(DEFAULT_DEGREE)
+
+
+def _neg(m):
+    return mat_scale(m, -ONE)
+
+
+def _exact_closure(label):
+    """Joint-sign classes {(P, Q), (-P, -Q)} of a registered group, by
+    breadth-first search over exact mat_mul, with no Element or table."""
+    gens = [(su2_of_quat(p), mat2_conj(su2_of_quat(q)))
+            for p, q in _GENERATOR_PAIRS[label]]
+    one = mat_identity(2)
+    seen = {frozenset({(one, one), (_neg(one), _neg(one))})}
+    frontier = [(one, one)]
+    while frontier:
+        new = []
+        for P, Q in frontier:
+            for gp, gq in gens:
+                x = (mat_mul(P, gp), mat_mul(Q, gq))
+                cls = frozenset({x, (_neg(x[0]), _neg(x[1]))})
+                if cls not in seen:
+                    seen.add(cls)
+                    new.append(x)
+        frontier = new
+    return seen
+
+
+class TestOctahedralTable:
+    """The index table of 2O against exact algebra."""
+
+    def test_group_law_matches_matrices(self):
+        t = binary_octahedral()
+        assert len(set(t.mats)) == 48 and t.mats[0] == mat_identity(2)
+        for a, m in enumerate(t.mats):
+            assert t.mats[t.inv[a]] == su2_inv(m)
+            assert t.mats[t.neg[a]] == _neg(m)
+            assert t.mats[t.conj[a]] == mat2_conj(m)
+            for b, n in enumerate(t.mats):
+                assert t.mats[t.mul[a][b]] == mat_mul(m, n)
+
+    def test_point_action_matches_matrices(self):
+        t = binary_octahedral()
+        assert len(t.points) == 26
+        assert list(t.points) == sorted(t.points, key=flat_key)
+        for a, m in enumerate(t.mats):
+            for p, pt in enumerate(t.points):
+                assert t.points[t.act[a][p]] == normalize_point(
+                    mat_vec(m, pt))
+
+    def test_exponents_match_eig2(self):
+        t = binary_octahedral()
+        for a, m in enumerate(t.mats):
+            found = eig2(m)
+            if found is None:
+                assert t.eig[a] is None
+                continue
+            want = [(t.points.index(v), ROOTS24.index(lam))
+                    for lam, v in found]
+            assert list(t.eig[a].items()) == want
+            assert set(t.eig[a]) == {p for p in range(26)
+                                     if t.act[a][p] == p}
+
+    @pytest.mark.parametrize("label", GROUP_LABELS)
+    def test_closure_matches_exact_search(self, label):
+        exact = _exact_closure(label)
+        g = group(label)
+        assert len(exact) == g.order() == EXPECTED_ORDERS[label]
+        assert {frozenset({(e.P, e.Q), (_neg(e.P), _neg(e.Q))})
+                for e in g} == exact
+        proj = {tuple(frozenset({m, _neg(m)}) for m in pair)
+                for cls in exact for pair in cls}
+        assert len(proj) == pgroup(label).order() == g.order() // 2
 
 
 class TestGenerateGroup:

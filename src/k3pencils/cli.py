@@ -10,7 +10,7 @@ import sys
 from .config import ConfigError, parse_config
 from .geometry import fixlines_table, offquadric_rows, orbits_on_ruling, \
     quadric_point_rows
-from .groups import DEFAULT_DEGREE, GROUP_LABELS, group
+from .groups import GROUP_LABELS, group
 from .lattices import (
     adjoin_class,
     discriminant,
@@ -22,7 +22,6 @@ from .lattices import (
 )
 from .singularities import binary_quotient_type, node_records, nu_totals
 from .tables import emit_report, group_registry, run_verification, tally
-from . import data
 
 
 def _fail(msg):
@@ -70,13 +69,12 @@ def cmd_sing(args):
     _check_label(args.group)
     if args.group == "OxO":
         return _fail("singular loci exist for the six pencil groups")
-    degree = DEFAULT_DEGREE[args.group]
     print("# points on the quadric")
-    for row in quadric_point_rows(args.group, degree):
+    for row in quadric_point_rows(args.group):
         print("Z%dxZ%d  length %d  orbits %d" % (
             row.fix + (row.length, row.number)))
     print("# points off the quadric")
-    for row in offquadric_rows(args.group, degree):
+    for row in offquadric_rows(args.group):
         print("%-4s o=%d  length %d  orbits %d" % (
             row.type_tag, row.order, row.length, row.number))
     print("# nodes of the singular members")
@@ -92,14 +90,12 @@ def cmd_nu(args):
     _check_label(args.group)
     if args.group == "OxO":
         return _fail("curve counts exist for the six pencil groups")
-    degree = DEFAULT_DEGREE[args.group]
     if args.fiber == "smooth":
         fibers = ["smooth", 1, 2, 3, 4]
     else:
         fibers = [int(args.fiber)]
-    records = node_records(args.group)
     for fiber in fibers:
-        n1, n2, n3, n4, n = nu_totals(args.group, degree, fiber, records)
+        n1, n2, n3, n4, n = nu_totals(args.group, fiber)
         tag = fiber if fiber == "smooth" else "lambda%d" % fiber
         print("%-8s nu1 %2d  nu2 %2d  nu3 %2d  nu4 %2d  total %2d" % (
             tag, n1, n2, n3, n4, n))
@@ -168,8 +164,11 @@ def cmd_verify(args):
     results = run_verification(args.table)
     report = emit_report(results, args.format)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            return _fail(exc)
     else:
         sys.stdout.write(report)
     ok, known, fail = tally(results)
@@ -240,9 +239,7 @@ def main(argv=None):
         return exc.code
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _fail(exc)
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         return _fail(exc)
 
 

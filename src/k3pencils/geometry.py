@@ -21,14 +21,14 @@ and fix groups are lookups there and sums of eigenvalue exponents mod
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 # the table is read as groups.binary_octahedral(), not imported by name:
 # the benchmark tracer spans every function one module imports from
 # another, which would put a span on each lookup
 from . import groups
-from .groups import AMBIENT, group, pgroup
+from .groups import AMBIENT, DEFAULT_DEGREE, group, pgroup
 
 ORDER_TAGS = {2: "M", 3: "N", 4: "R"}
 
@@ -164,7 +164,7 @@ def orbits_on_ruling(g, side):
     return {o: sorted(lengths) for o, lengths in sorted(table.items())}
 
 
-@lru_cache(maxsize=None)
+@cache
 def base_points(degree):
     """The n base points in each ruling (frozenset pair, left/right)."""
     amb = group(AMBIENT[degree])
@@ -234,7 +234,7 @@ class FixLineOrbit(NamedTuple):
                 f"|F|={self.fix_order}, |H|/|F|={self.ratio})")
 
 
-@lru_cache(maxsize=None)
+@cache
 def fixlines_table(label):
     pg = pgroup(label)
     rows = []
@@ -303,17 +303,18 @@ class QuadricPointRow(NamedTuple):
                 f"number={self.number})")
 
 
-@lru_cache(maxsize=None)
-def quadric_point_rows(label, degree):
+@cache
+def quadric_point_rows(label):
     """Orbits of (pure fix point) x (base point) pairs on the quadric.
 
     These are the quadric points of the base-locus lines with extra
     stabilizer; the factor transversal to the base line drives the
-    quotient singularity.
+    quotient singularity.  The base lines are those of the pencil of
+    degree DEFAULT_DEGREE[label].
     """
     g = group(label)
     pg = pgroup(label)
-    bl, br = base_points(degree)
+    bl, br = base_points(DEFAULT_DEGREE[label])
     fixl = pure_fix_points(g, "left")
     fixr = pure_fix_points(g, "right")
     pts = {}
@@ -353,14 +354,16 @@ class OffQuadricRow(NamedTuple):
                 f"length={self.length}, number={self.number})")
 
 
-@lru_cache(maxsize=None)
-def offquadric_rows(label, degree):
+@cache
+def offquadric_rows(label):
     """Orbits of pencil base points sitting on transversal fix-lines.
 
     On a fix-line L the quotient group H_L / F_L acts freely away from
     the quadric, so the m base points off the quadric fall into
-    m / |H_L/F_L| orbits, each contributing one A_{o(L)-1} point.
+    m / |H_L/F_L| orbits, each contributing one A_{o(L)-1} point.  The
+    pencil is the one of degree DEFAULT_DEGREE[label].
     """
+    degree = DEFAULT_DEGREE[label]
     rows = []
     for fl in fixlines_table(label):
         m = points_off_quadric(fl.rep, degree)
@@ -370,19 +373,16 @@ def offquadric_rows(label, degree):
     return tuple(rows)
 
 
-def nu1(label, degree):
+def nu1(label):
     """Number of base-locus line orbits under the projective group."""
-    return len(line_orbits(pgroup(label), base_locus(degree)))
+    return len(line_orbits(pgroup(label), base_locus(DEFAULT_DEGREE[label])))
 
 
-def nu2(label, degree):
+def nu2(label):
     return sum(
-        r.number * (r.transversal_order - 1)
-        for r in quadric_point_rows(label, degree)
+        r.number * (r.transversal_order - 1) for r in quadric_point_rows(label)
     )
 
 
-def nu3_smooth(label, degree):
-    return sum(
-        r.number * (r.order - 1) for r in offquadric_rows(label, degree)
-    )
+def nu3_smooth(label):
+    return sum(r.number * (r.order - 1) for r in offquadric_rows(label))

@@ -378,29 +378,21 @@ _GENERATOR_PAIRS = {
 
 GROUP_LABELS = ("TxV", "TT1", "VxV", "OxT", "OO2", "TxT", "OxO")
 
-# pencil degree -> (quotient groups, ambient group); TxT plays both
-# roles: quotient at degree 8, ambient at degree 6
-PENCILS = {6: ("TxV", "TT1", "VxV"), 8: ("OxT", "OO2", "TxT")}
+# the ambient group of each pencil degree, and the degree of the pencil
+# each group covers; TxT plays both roles: quotient at degree 8,
+# ambient at degree 6
 AMBIENT = {6: "TxT", 8: "OxO"}
 DEFAULT_DEGREE = {"TxV": 6, "TT1": 6, "VxV": 6,
                   "OxT": 8, "OO2": 8, "TxT": 8, "OxO": 8}
 
-_cache = {}
 
-
+@cache
 def group(label):
     if label not in _GENERATOR_PAIRS:
         raise ValueError(f"unknown group {label!r}")
-    if label not in _cache:
-        _cache[label] = generate_group(label, _GENERATOR_PAIRS[label])
-    return _cache[label]
+    return generate_group(label, _GENERATOR_PAIRS[label])
 
 
-_pcache = {}
-
-
+@cache
 def pgroup(label):
-    if label not in _pcache:
-        _pcache[label] = projectivize(group(label))
-    return _pcache[label]
-
+    return projectivize(group(label))

@@ -11,6 +11,8 @@ downstream of them is recomputed and cross-checked.
 """
 
 import re
+from collections import namedtuple
+from functools import cache
 
 from . import data
 from .geometry import (
@@ -20,17 +22,17 @@ from .geometry import (
     nu3_smooth,
     points_off_quadric,
 )
-from .groups import pgroup
+from .groups import DEFAULT_DEGREE, pgroup
 
 _VALID_E = (6, 7, 8)
 
 
-class ADEType:
+class ADEType(namedtuple("ADEType", "kind index")):
     """One irreducible root-lattice symbol: A_n, D_n or E_n."""
 
-    __slots__ = ("kind", "index")
+    __slots__ = ()
 
-    def __init__(self, kind, index):
+    def __new__(cls, kind, index):
         if kind == "A":
             if index < 1:
                 raise ValueError("A_n needs n >= 1")
@@ -42,11 +44,7 @@ class ADEType:
                 raise ValueError("E_n needs n in {6, 7, 8}")
         else:
             raise ValueError("unknown Dynkin kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ADEType is immutable")
+        return super().__new__(cls, kind, int(index))
 
     @classmethod
     def parse(cls, text):
@@ -63,17 +61,6 @@ class ADEType:
     def rank(self):
         return self.index
 
-    def __eq__(self, other):
-        if not isinstance(other, ADEType):
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.kind, self.index))
-
-    def __lt__(self, other):
-        return (self.kind, self.index) < (other.kind, other.index)
-
     def __str__(self):
         return "%s%d" % (self.kind, self.index)
 
@@ -84,7 +71,7 @@ class ADEType:
 _POLYHEDRAL = {"T": 12, "O": 24, "I": 60}
 
 
-class BinaryGroupClass:
+class BinaryGroupClass(namedtuple("BinaryGroupClass", "kind n")):
     """Conjugacy class of a finite rotation group, by its usual name.
 
     kind is one of "id", "Z", "D", "T", "O", "I"; n carries the cyclic
@@ -92,9 +79,9 @@ class BinaryGroupClass:
     the same class and compare equal.
     """
 
-    __slots__ = ("kind", "n")
+    __slots__ = ()
 
-    def __init__(self, kind, n=0):
+    def __new__(cls, kind, n=0):
         if kind in ("id",) + tuple(_POLYHEDRAL):
             if n:
                 raise ValueError("%s takes no parameter" % kind)
@@ -106,11 +93,7 @@ class BinaryGroupClass:
                 raise ValueError("dihedral class needs n >= 2")
         else:
             raise ValueError("unknown rotation-group kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryGroupClass is immutable")
+        return super().__new__(cls, kind, int(n))
 
     @classmethod
     def parse(cls, label):
@@ -149,14 +132,6 @@ class BinaryGroupClass:
             return "Z2xZ2" if self.n == 2 else "D%d" % self.n
         return self.kind
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryGroupClass):
-            return NotImplemented
-        return self.kind == other.kind and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.kind, self.n))
-
     def __repr__(self):
         return "BinaryGroupClass.parse(%r)" % self.label
 
@@ -188,7 +163,9 @@ def quadric_point_singularity(a):
     return ADEType("A", a - 1)
 
 
-class NodeOrbitRecord:
+class NodeOrbitRecord(namedtuple(
+        "NodeOrbitRecord", "group fiber node_count orbit_count fix_group"
+                           " meeting_lines line_incidences")):
     """Ingested invariants of the nodes of one singular pencil member.
 
     node_count and fix_group come from the classical description of the
@@ -197,23 +174,19 @@ class NodeOrbitRecord:
     free-text meeting_lines annotation.
     """
 
-    __slots__ = ("group", "fiber", "node_count", "orbit_count",
-                 "fix_group", "meeting_lines", "line_incidences")
+    __slots__ = ()
 
-    def __init__(self, group, fiber, node_count, orbit_count, fix_group,
-                 meeting_lines="", line_incidences=()):
+    def __new__(cls, group, fiber, node_count, orbit_count, fix_group,
+                meeting_lines="", line_incidences=()):
         if fiber not in (1, 2, 3, 4):
             raise ValueError("fiber must be 1..4, got %r" % (fiber,))
         if node_count % orbit_count:
             raise ValueError("orbit count must divide node count")
-        self.group = group
-        self.fiber = fiber
-        self.node_count = node_count
-        self.orbit_count = orbit_count
-        self.fix_group = (fix_group if isinstance(fix_group, BinaryGroupClass)
-                          else BinaryGroupClass.parse(fix_group))
-        self.meeting_lines = meeting_lines
-        self.line_incidences = tuple(line_incidences)
+        if not isinstance(fix_group, BinaryGroupClass):
+            fix_group = BinaryGroupClass.parse(fix_group)
+        return super().__new__(cls, group, fiber, node_count, orbit_count,
+                               fix_group, meeting_lines,
+                               tuple(line_incidences))
 
     def __repr__(self):
         return "NodeOrbitRecord(%r, %d, ns=%d, orbits=%d, F=%s)" % (
@@ -260,6 +233,7 @@ def parse_meeting_lines(label, text):
     return tuple((tag, length, n) for (tag, length), n in out.items())
 
 
+@cache
 def node_records(label):
     """The node data of one group's four singular members (data.NODES)."""
     out = []
@@ -267,10 +241,10 @@ def node_records(label):
         ns, orbits, fix, meeting, _sing = data.NODES[(label, fiber)]
         out.append(NodeOrbitRecord(label, fiber, ns, orbits, fix, meeting,
                                    parse_meeting_lines(label, meeting)))
-    return out
+    return tuple(out)
 
 
-def _nu3_at_fiber(label, degree, record):
+def _nu3_at_fiber(label, record):
     """Off-quadric curve count after nodes swallow points of fix-lines.
 
     On a line L with m off-quadric special points, each node lying on L
@@ -280,6 +254,7 @@ def _nu3_at_fiber(label, degree, record):
     the orbit rows sharing (tag, orbit length), which also absorbs the
     alternating N/N' annotations.
     """
+    degree = DEFAULT_DEGREE[label]
     rows = fixlines_table(label)
     pooled = {}
     for row in rows:
@@ -302,30 +277,26 @@ def _nu3_at_fiber(label, degree, record):
     return nu3
 
 
-def nu_totals(label, degree, fiber, node_data=None):
+def nu_totals(label, fiber):
     """The curve-count vector (nu1, nu2, nu3, nu4, nu) for one fiber.
 
-    fiber is "smooth" or a lambda index 1..4; node_data must supply the
-    NodeOrbitRecord of any singular fiber requested.
+    fiber is "smooth" or a lambda index 1..4.  The pencil degree is
+    DEFAULT_DEGREE[label] and the nodes of a singular fiber are those
+    of data.NODES, both looked up by the group label.
     """
     if fiber not in ("smooth", 1, 2, 3, 4):
         raise ValueError("fiber must be 'smooth' or 1..4, got %r" % (fiber,))
-    n1 = nu1(label, degree)
-    n2 = nu2(label, degree)
+    n1 = nu1(label)
+    n2 = nu2(label)
     if fiber == "smooth":
-        n3 = nu3_smooth(label, degree)
+        n3 = nu3_smooth(label)
         return (n1, n2, n3, 0, n1 + n2 + n3)
-    record = None
-    for rec in node_data or ():
-        if rec.group == label and rec.fiber == fiber:
-            record = rec
-    if record is None:
-        raise ValueError("missing node data for singular fiber")
-    if record.node_count != NODE_COUNTS[degree][fiber - 1]:
+    record = node_records(label)[fiber - 1]
+    if record.node_count != NODE_COUNTS[DEFAULT_DEGREE[label]][fiber - 1]:
         raise ValueError("node count does not match the pencil degree")
     ph = pgroup(label)
     assert (record.orbit_count * ph.order()
             == record.node_count * record.fix_group.so3_order), label
-    n3 = _nu3_at_fiber(label, degree, record)
+    n3 = _nu3_at_fiber(label, record)
     n4 = record.orbit_count * binary_quotient_type(record.fix_group).rank
     return (n1, n2, n3, n4, n1 + n2 + n3 + n4)

@@ -12,16 +12,14 @@ triples.  run_verification stamps a status on every triple:
 Reports are deterministic: builders iterate fixed tuples, never sets.
 """
 
+from typing import NamedTuple
+
 from . import data
 from .config import parse_config
 from .geometry import (
     base_locus,
     fixlines_table,
-    line_orbits,
     meeting_point_orbits,
-    nu1,
-    nu2,
-    nu3_smooth,
     offquadric_rows,
     orbits_on_ruling,
     quadric_point_rows,
@@ -52,46 +50,13 @@ from .singularities import (
     quadric_point_singularity,
 )
 
-SOURCES = {
-    "sec3.subgroups": "subgroup registry: orders, ambients, indices",
-    "sec4.rulings": "orbit lengths of fixed lines on the two rulings",
-    "sec4.meeting": "orbits of base-locus intersection points",
-    "sec4.fixlines": "transversal fix-line orbits and stabilizers",
-    "sec5.sing": "singular loci on and off the quadric, and nodes",
-    "sec6.nu": "rational curve counts, smooth and singular members",
-    "sec7.divisible": "divisible classes on the covering surfaces",
-    "sec8.discs": "block discriminants and overlattice index drops",
-}
 
-
-class ExpectedTable:
-    """Golden cells of one table: (key, expected, provenance) triples."""
-
-    __slots__ = ("table_id", "cells")
-
-    def __init__(self, table_id, cells):
-        self.table_id = table_id
-        self.cells = tuple(cells)
-        for key, _expected, provenance in self.cells:
-            assert provenance in SOURCES, (table_id, key, provenance)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __repr__(self):
-        return "ExpectedTable(%r, %d cells)" % (self.table_id,
-                                                len(self.cells))
-
-
-class CellResult:
-    __slots__ = ("table_id", "key", "expected", "computed", "status")
-
-    def __init__(self, table_id, key, expected, computed, status):
-        self.table_id = table_id
-        self.key = key
-        self.expected = expected
-        self.computed = computed
-        self.status = status
+class CellResult(NamedTuple):
+    table_id: str
+    key: str
+    expected: object
+    computed: object
+    status: str
 
     def __repr__(self):
         return "CellResult(%s %s: %s)" % (self.table_id, self.key,
@@ -157,10 +122,25 @@ def _common(rows, get):
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
+def _deal(printed, computed, mult):
+    """{column: computed rows} for printed rows in slot order, or None.
+
+    Each printed row (column name first after the label) takes
+    mult(row) consecutive computed rows; None when the totals differ.
+    """
+    slots = [r for r in printed for _ in range(mult(r))]
+    if len(slots) != len(computed):
+        return None
+    matched = {}
+    for r, c in zip(slots, computed):
+        matched.setdefault(r[1], []).append(c)
+    return matched
+
+
 def _build_fixlines():
     for label in data.GROUP_ORDER:
         printed = [r for r in data.FIXLINES if r[0] == label]
-        computed = list(fixlines_table(label))
+        computed = fixlines_table(label)
         orders = sorted({r[3] for r in printed}
                         | {c.fix_order for c in computed})
         for o in orders:
@@ -168,16 +148,11 @@ def _build_fixlines():
                            key=lambda r: r[4])
             crows = sorted((c for c in computed if c.fix_order == o),
                            key=lambda c: c.length)
-            want = sum(r[6] for r in prows)
-            if want != len(crows):
-                yield ("%s.classes(o=%d)" % (label, o), want, len(crows))
+            matched = _deal(prows, crows, lambda r: r[6])
+            if matched is None:
+                yield ("%s.classes(o=%d)" % (label, o),
+                       sum(r[6] for r in prows), len(crows))
                 continue
-            slots = []
-            for r in prows:
-                slots.extend([r] * r[6])
-            matched = {}
-            for r, c in zip(slots, crows):
-                matched.setdefault(r[1], []).append(c)
             for r in prows:
                 _, name, _rep, _fix, length, ratio, mult = r
                 rows = matched[name]
@@ -193,11 +168,9 @@ def _build_fixlines():
 
 def _build_sing():
     for label in data.GROUP_ORDER:
-        degree = DEFAULT_DEGREE[label]
-
         printed = [r for r in data.QUADRIC_POINTS if r[0] == label]
         printed.sort(key=lambda r: (r[3], r[4], r[2]))
-        computed = sorted(quadric_point_rows(label, degree),
+        computed = sorted(quadric_point_rows(label),
                           key=lambda c: (c.length, c.number,
                                          "Z%dxZ%d" % c.fix))
         yield "%s.quadric.rows" % label, len(printed), len(computed)
@@ -211,33 +184,27 @@ def _build_sing():
                 yield (prefix + ".sing", r[5],
                        _sing_str(c.number, sing, keep_one=True))
 
+        computed = offquadric_rows(label)
         for (grp, o), m in data.OFFQUADRIC_COUNTS.items():
             if grp != label:
                 continue
             got = sorted({row.length * row.number
-                          for row in offquadric_rows(label, degree)
-                          if row.order == o})
+                          for row in computed if row.order == o})
             yield ("%s.points.o%d" % (label, o), m,
                    got[0] if len(got) == 1 else tuple(got))
 
         mult_of = {r[1]: r[6] for r in data.FIXLINES if r[0] == label}
         printed = [r for r in data.OFFQUADRIC_ROWS if r[0] == label]
-        computed = list(offquadric_rows(label, degree))
         for o in sorted({r[2] for r in printed}):
             prows = sorted((r for r in printed if r[2] == o),
                            key=lambda r: (r[4], r[3]))
             crows = sorted((c for c in computed if c.order == o),
                            key=lambda c: (c.number, c.length))
-            want = sum(mult_of[r[1]] for r in prows)
-            if want != len(crows):
-                yield ("%s.lines(o=%d)" % (label, o), want, len(crows))
+            matched = _deal(prows, crows, lambda r: mult_of[r[1]])
+            if matched is None:
+                yield ("%s.lines(o=%d)" % (label, o),
+                       sum(mult_of[r[1]] for r in prows), len(crows))
                 continue
-            slots = []
-            for r in prows:
-                slots.extend([r] * mult_of[r[1]])
-            matched = {}
-            for r, c in zip(slots, crows):
-                matched.setdefault(r[1], []).append(c)
             for r in prows:
                 _, name, o_l, length, number, sing = r
                 rows = matched[name]
@@ -254,7 +221,7 @@ def _build_sing():
         for rec in node_records(label):
             ns, orbits, fix, _meeting, sing = data.NODES[(label, rec.fiber)]
             prefix = "%s.l%d" % (label, rec.fiber)
-            got_ns = NODE_COUNTS[degree][rec.fiber - 1]
+            got_ns = NODE_COUNTS[DEFAULT_DEGREE[label]][rec.fiber - 1]
             yield prefix + ".ns", ns, got_ns
             # orbit-stabilizer: each orbit holds |PH| / |F| of the nodes
             num = got_ns * rec.fix_group.so3_order
@@ -268,18 +235,16 @@ def _build_sing():
 
 def _build_nu():
     for label in data.GROUP_ORDER:
-        degree = DEFAULT_DEGREE[label]
         n1, n2, n3, n = data.SMOOTH_NU[label]
-        got = nu_totals(label, degree, "smooth")
+        got = nu_totals(label, "smooth")
         prefix = "%s.smooth" % label
         yield prefix + ".nu1", n1, got[0]
         yield prefix + ".nu2", n2, got[1]
         yield prefix + ".nu3", n3, got[2]
         yield prefix + ".nu", n, got[4]
-        records = node_records(label)
         for fiber in (1, 2, 3, 4):
             n3, n4, n = data.SINGULAR_NU[(label, fiber)]
-            got = nu_totals(label, degree, fiber, records)
+            got = nu_totals(label, fiber)
             prefix = "%s.l%d" % (label, fiber)
             yield prefix + ".nu3", n3, got[2]
             yield prefix + ".nu4", n4, got[3]
@@ -335,15 +300,6 @@ _BUILDERS = {
 }
 
 assert tuple(_BUILDERS) == data.TABLE_IDS
-
-
-def expected_table(table_id):
-    """The golden cells of one table, without recomputation results."""
-    builder = _BUILDERS.get(table_id)
-    if builder is None:
-        raise ValueError("unknown table %r" % (table_id,))
-    return ExpectedTable(table_id, [(key, expected, table_id)
-                                    for key, expected, _ in builder()])
 
 
 def run_verification(scope="all"):

@@ -197,10 +197,9 @@ def test_criterion_04_fixline_tables():
 def test_criterion_05_singularity_cells():
     mismatches = []
     for label in PENCIL_GROUPS:
-        degree = DEFAULT_DEGREE[label]
         want = sorted(r[5] for r in data.QUADRIC_POINTS if r[0] == label)
         got = []
-        for row in quadric_point_rows(label, degree):
+        for row in quadric_point_rows(label):
             ade = quadric_point_singularity(row.transversal_order)
             got.append(_sing(row.number, ade, keep_one=True))
         if sorted(got) != want:
@@ -211,7 +210,7 @@ def test_criterion_05_singularity_cells():
         want = sorted(r[5] for r in data.OFFQUADRIC_ROWS if r[0] == label
                       for _ in range(mult_of.get(r[1], 1)))
         got = sorted(_sing(row.number, ADEType("A", row.order - 1))
-                     for row in offquadric_rows(label, degree))
+                     for row in offquadric_rows(label))
         if got != want:
             mismatches.append("%s off-quadric sing %r != %r"
                               % (label, got, want))
@@ -243,17 +242,15 @@ def test_criterion_06_nu_tables_as_printed():
     """
     mismatches = []
     for label in PENCIL_GROUPS:
-        degree = DEFAULT_DEGREE[label]
-        n1, n2, n3, n4, n = nu_totals(label, degree, "smooth")
+        n1, n2, n3, n4, n = nu_totals(label, "smooth")
         if (n1, n2, n3, n) != data.SMOOTH_NU[label]:
             mismatches.append("%s smooth (%d,%d,%d,%d) != %r"
                               % (label, n1, n2, n3, n,
                                  data.SMOOTH_NU[label]))
         if n4 != 0:
             mismatches.append("%s smooth nu4 = %d" % (label, n4))
-        records = node_records(label)
         for fiber in (1, 2, 3, 4):
-            got = nu_totals(label, degree, fiber, records)[2:]
+            got = nu_totals(label, fiber)[2:]
             want = data.SINGULAR_NU[(label, fiber)]
             if got != want:
                 mismatches.append(

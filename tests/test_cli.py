@@ -227,6 +227,14 @@ class TestVerify:
         assert text.startswith("table\tkey\t")
         assert "18 cells" in captured.err
 
+    def test_output_into_missing_directory_exits_2(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.tsv"
+        assert main(["verify", "--table", "sec3.subgroups",
+                     "--output", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestPinnedQueries:
     def test_outputs_match_benchmark_digests(self, capsys):
@@ -289,7 +297,7 @@ OPTIMIZED_CASES = (
     ("from k3pencils.singularities import NodeOrbitRecord; "
      "NodeOrbitRecord('TxV', 7, 12, 1, 'id')", "ValueError"),
     ("from k3pencils.singularities import nu_totals; "
-     "nu_totals('TxV', 6, 7)", "ValueError"),
+     "nu_totals('TxV', 7)", "ValueError"),
     ("from k3pencils.lattices import is_p_divisible; "
      "is_p_divisible(None, None, 5)", "ValueError"),
 )

@@ -17,6 +17,7 @@ from k3pencils.algebra import (
     quat_of_su2,
 )
 from k3pencils.groups import (
+    DEFAULT_DEGREE,
     GROUP_LABELS,
     Element,
     generate_group,
@@ -263,9 +264,9 @@ class TestFixLineTables:
         with pytest.raises(AttributeError):
             row.rep.type_tag = "R"
         with pytest.raises(AttributeError):
-            quadric_point_rows("OxT", 8)[0].number = 0
+            quadric_point_rows("OxT")[0].number = 0
         with pytest.raises(AttributeError):
-            offquadric_rows("OxT", 8)[0].number = 0
+            offquadric_rows("OxT")[0].number = 0
 
     def test_orbit_stabilizer_identity(self):
         pg = pgroup("TT1")
@@ -410,33 +411,35 @@ OFFQUADRIC_ROWS = {
 class TestSingularLoci:
     @pytest.mark.parametrize("label,degree", sorted(QUADRIC_ROWS))
     def test_quadric_point_rows(self, label, degree):
+        assert DEFAULT_DEGREE[label] == degree
         got = sorted(
             (r.fix, r.length, r.number, r.transversal_order)
-            for r in quadric_point_rows(label, degree)
+            for r in quadric_point_rows(label)
         )
         assert got == sorted(QUADRIC_ROWS[(label, degree)])
 
     @pytest.mark.parametrize("label,degree", sorted(OFFQUADRIC_ROWS))
     def test_offquadric_rows(self, label, degree):
+        assert DEFAULT_DEGREE[label] == degree
         got = sorted(
             (r.type_tag, r.order, r.length, r.number)
-            for r in offquadric_rows(label, degree)
+            for r in offquadric_rows(label)
         )
         assert got == sorted(OFFQUADRIC_ROWS[(label, degree)])
 
     def test_nu_components(self):
         expected = {
-            ("TxV", 6): (4, 12, 3),
-            ("TT1", 6): (2, 0, 15),
-            ("VxV", 6): (6, 0, 9),
-            ("OxT", 8): (3, 9, 7),
-            ("OO2", 8): (2, 2, 14),
-            ("TxT", 8): (4, 4, 10),
+            "TxV": (4, 12, 3),
+            "TT1": (2, 0, 15),
+            "VxV": (6, 0, 9),
+            "OxT": (3, 9, 7),
+            "OO2": (2, 2, 14),
+            "TxT": (4, 4, 10),
         }
-        for (label, deg), (n1, n2, n3) in expected.items():
-            assert nu1(label, deg) == n1
-            assert nu2(label, deg) == n2
-            assert nu3_smooth(label, deg) == n3
+        for label, (n1, n2, n3) in expected.items():
+            assert nu1(label) == n1
+            assert nu2(label) == n2
+            assert nu3_smooth(label) == n3
 
 
 class TestLineActions:

@@ -28,7 +28,6 @@ from k3pencils.groups import (
     C_SWAP,
     DEFAULT_DEGREE,
     GROUP_LABELS,
-    PENCILS,
     Element,
     binary_octahedral,
     conjugacy_classes,
@@ -60,16 +59,14 @@ class TestRegistry:
             assert group(label).order() == n, label
 
     def test_indices_in_ambient(self):
-        for degree, quotients in PENCILS.items():
-            amb = group(AMBIENT[degree])
-            for label in quotients:
-                assert index(group(label), amb) == EXPECTED_INDICES[label]
+        for label, idx in EXPECTED_INDICES.items():
+            amb = group(AMBIENT[DEFAULT_DEGREE[label]])
+            assert index(group(label), amb) == idx, label
 
     def test_quotients_are_normal(self):
-        for degree, quotients in PENCILS.items():
-            amb = group(AMBIENT[degree])
-            for label in quotients:
-                assert is_normal(group(label), amb), label
+        for label in EXPECTED_INDICES:
+            amb = group(AMBIENT[DEFAULT_DEGREE[label]])
+            assert is_normal(group(label), amb), label
 
     def test_projective_orders_are_halved(self):
         for label, n in EXPECTED_ORDERS.items():

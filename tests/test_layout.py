@@ -1,0 +1,89 @@
+"""Source layout: no unused relative import, no public name without a reader.
+
+Both checks read the package with ast, so they run nothing of it.  A
+public name is read when some module of src/k3pencils or
+benchmarks/k3bench loads it, by name or as an attribute, or imports it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "k3pencils"
+READERS = (PACKAGE, ROOT / "benchmarks" / "k3bench")
+
+# public names read only by the tests, or kept for an open ROADMAP item
+ALLOWED_UNREAD = {
+    "SQRT3": "oracle for the algebra tests",
+    "OMEGA": "oracle for the algebra tests",
+    "Q3": "oracle for the algebra and table tests",
+    "mat_det": "oracle for the algebra tests",
+    "eigenspaces": "oracle for the fix-line tests",
+    "su2_inv": "oracle for the 2O table tests",
+    "point_coords": "the tests' accessor for point coordinates",
+    "is_normal": "acceptance criterion 1",
+    "conjugate_group": "the group tests",
+    "conjugacy_classes": "the group tests",
+    "SMOOTH_DISC": "printed discriminants, ROADMAP item 1",
+    "SINGULAR_DISC": "printed discriminants, ROADMAP item 1",
+    "index_formula_check": "lattice check, ROADMAP item 2",
+    "cover_self_intersection": "lattice check, ROADMAP item 2",
+    "p_rank_bound_check": "lattice check, ROADMAP item 2",
+}
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text())
+            for d in dirs for path in sorted(d.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id] if isinstance(node.target,
+                                                   ast.Name) else []
+        else:
+            names = []
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _unread_public_names():
+    read = set()
+    for tree in _trees(*READERS).values():
+        read |= _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+    return {name: path.name
+            for path, tree in _trees(PACKAGE).items()
+            for name in _public_definitions(tree) if name not in read}
+
+
+def test_relative_imports_are_used():
+    unused = []
+    for path, tree in _trees(PACKAGE).items():
+        loaded = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                unused.extend("%s: %s" % (path.name, a.asname or a.name)
+                              for a in node.names
+                              if (a.asname or a.name) not in loaded)
+    assert not unused
+
+
+def test_public_names_have_a_reader():
+    unread = _unread_public_names()
+    assert {n: m for n, m in unread.items() if n not in ALLOWED_UNREAD} == {}
+    # an entry whose name gained a reader, or is gone, leaves the list
+    assert set(ALLOWED_UNREAD) == set(unread)

@@ -145,6 +145,14 @@ class TestNodeDataset:
         with pytest.raises(ValueError):
             NodeOrbitRecord("TxV", 1, 12, 1, "Q8")
 
+    def test_records_are_cached_and_immutable(self):
+        recs = node_records("OO2")
+        assert recs is node_records("OO2")
+        with pytest.raises(TypeError):
+            recs[0] = None
+        with pytest.raises(AttributeError):
+            recs[0].node_count = 0
+
     def test_meeting_lines_parse(self):
         # a family pools columns of one orbit length (N(N') is N and N',
         # Mi the numbered M columns); M and M' of OxT differ in length
@@ -161,12 +169,12 @@ class TestNodeDataset:
 
 def _quadric_cells(label):
     return ["%d%s" % (r.number, quadric_point_singularity(r.transversal_order))
-            for r in quadric_point_rows(label, DEGREES[label])]
+            for r in quadric_point_rows(label)]
 
 
 def _offquadric_cells(label):
     return ["%d%s" % (r.number, ADEType("A", r.order - 1))
-            for r in offquadric_rows(label, DEGREES[label])]
+            for r in offquadric_rows(label)]
 
 
 class TestSingularityReports:
@@ -210,27 +218,11 @@ SINGULAR_NU = {
 class TestNuTotals:
     @pytest.mark.parametrize("label", sorted(SMOOTH_NU))
     def test_smooth(self, label):
-        assert nu_totals(label, DEGREES[label], "smooth") == SMOOTH_NU[label]
+        assert nu_totals(label, "smooth") == SMOOTH_NU[label]
 
     @pytest.mark.parametrize("label", sorted(SINGULAR_NU))
     def test_singular_fibers(self, label):
-        deg = DEGREES[label]
-        recs = node_records(label)
         n1, n2 = SMOOTH_NU[label][:2]
         for fiber in (1, 2, 3, 4):
             n3, n4, nu = SINGULAR_NU[label][fiber - 1]
-            assert nu_totals(label, deg, fiber, recs) == (n1, n2, n3, n4, nu)
-
-    def test_missing_node_data(self):
-        with pytest.raises(ValueError, match="missing node data"):
-            nu_totals("TxV", 6, 1, [])
-        with pytest.raises(ValueError, match="missing node data"):
-            nu_totals("TxV", 6, 2, node_records("TxT"))
-
-    def test_wrong_degree_node_data(self):
-        recs = node_records("TxT")
-        with pytest.raises(ValueError, match="node count"):
-            nu_totals("TxT", 6, 1, recs)
-
-    def test_smooth_ignores_node_data(self):
-        assert nu_totals("VxV", 6, "smooth", None) == SMOOTH_NU["VxV"]
+            assert nu_totals(label, fiber) == (n1, n2, n3, n4, nu)

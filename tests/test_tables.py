@@ -10,9 +10,7 @@ from k3pencils import data
 from k3pencils.config import ConfigError, emit_config, parse_config
 from k3pencils.tables import (
     KNOWN_DEVIATIONS,
-    SOURCES,
     emit_report,
-    expected_table,
     group_registry,
     run_verification,
     tally,
@@ -126,24 +124,17 @@ def all_results():
 
 
 class TestExpectedTable:
-    def test_every_table_nonempty(self):
+    def test_every_table_nonempty(self, all_results):
         for table_id in data.TABLE_IDS:
-            table = expected_table(table_id)
-            assert len(table) > 0
-            assert table.table_id == table_id
-
-    def test_provenance_resolves(self):
-        for table_id in data.TABLE_IDS:
-            for _key, _expected, provenance in expected_table(table_id).cells:
-                assert provenance in SOURCES
+            results = run_verification(table_id)
+            assert len(results) > 0
+            assert {r.table_id for r in results} == {table_id}
+            assert results == [r for r in all_results
+                               if r.table_id == table_id]
 
     def test_unknown_table(self):
         with pytest.raises(ValueError, match="unknown table"):
-            expected_table("sec9.bogus")
-
-    def test_cell_count_matches_verification(self, all_results):
-        total = sum(len(expected_table(t)) for t in data.TABLE_IDS)
-        assert total == len(all_results)
+            run_verification("sec9.bogus")
 
 
 class TestRunVerification:

@@ -180,8 +180,6 @@ ONE = Cyc.from_int(1)
 HALF = Cyc.rational(1, 2)
 I = Cyc.zeta(6)
 SQRT2 = Cyc.zeta(3) + Cyc.zeta(21)  # zeta_8 + zeta_8^-1
-SQRT3 = Cyc.zeta(2) + Cyc.zeta(22)
-OMEGA = Cyc.zeta(8)  # primitive cube root of unity
 
 ROOTS24 = tuple(Cyc.zeta(k) for k in range(24))
 
@@ -216,10 +214,6 @@ def _dot(u, v):
         if not (x.is_zero() or y.is_zero()):
             acc = acc + x * y
     return acc
-
-
-def mat_vec(a, v):
-    return tuple(_dot(row, v) for row in a)
 
 
 def mat_scale(a, c):
@@ -271,26 +265,6 @@ def _rref(rows):
         if r == n:
             break
     return [tuple(row) for row in rows], pivots
-
-
-def mat_det(a):
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inv()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def nullspace(a):
@@ -378,7 +352,6 @@ QUAT_BASIS = (
 # the unit quaternions every group in the registry is built from
 Q1 = QUAT_BASIS[1]  # i
 Q2 = QUAT_BASIS[2]  # j
-Q3 = quat_mul(Q1, Q2)  # k
 P3 = (HALF, HALF, -HALF, HALF)  # (1 + i - j + k)/2, order 6
 _R2 = HALF * SQRT2
 P4 = (_R2, _R2, ZERO, ZERO)  # (1 + i)/sqrt(2), order 8
@@ -400,31 +373,24 @@ def mat2_conj(m):
     return tuple(tuple(x.conj() for x in row) for row in m)
 
 
-def su2_inv(m):
-    # determinant-1 shortcut
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))
+# the trace zeta^k + zeta^-k of a nonscalar det-1 2x2 of finite order,
+# 0 < k < 12, mapped to k; traces +-2 (k = 0, 12) belong to +-1 only
+_TRACE_EXPONENT = {ROOTS24[k] + ROOTS24[-k]: k for k in range(1, 12)}
 
 
 def eig2(m):
     """Eigen data of a det-1 2x2 over the field.
 
     Returns None for scalar matrices, else ((lam1, v1), (lam2, v2)) with
-    the two eigenvalues in mu_24 and canonical projective eigenvectors.
+    the two eigenvalues zeta_24^k, zeta_24^(24-k) (0 < k < 12, read off
+    the trace) and canonical projective eigenvectors.
     """
-    c0 = scalar_of(m)
-    if c0 is not None:
+    if scalar_of(m) is not None:
         return None
-    t = m[0][0] + m[1][1]
-    found = []
-    for lam in ROOTS24:
-        if (lam * lam - t * lam + ONE).is_zero():
-            vec = _eigvec2(m, lam)
-            found.append((lam, vec))
-        if len(found) == 2:
-            break
-    assert len(found) == 2, "nonscalar SU(2) element must split over mu_24"
-    return tuple(found)
+    k = _TRACE_EXPONENT.get(m[0][0] + m[1][1])
+    if k is None:
+        raise ValueError("eigenvalue outside mu_24")
+    return tuple((ROOTS24[j], _eigvec2(m, ROOTS24[j])) for j in (k, 24 - k))
 
 
 def _eigvec2(m, lam):

@@ -29,35 +29,22 @@ from .algebra import (
     mat4_of_pair,
     mat_identity,
     mat_mul,
-    mat_vec,
-    normalize_point,
     quat_mul,
     su2_of_quat,
 )
 
 ID2 = mat_identity(2)
 
-# quaternion-coordinate reflection diag(1,-1,-1,-1); conjugating by it
-# swaps the two factors of a rotation pair (it is not itself a rotation,
-# so it has no pair representation)
-C_SWAP = tuple(
-    tuple(
-        Cyc.from_int(1 if i == j == 0 else (-1 if i == j else 0))
-        for j in range(4)
-    )
-    for i in range(4)
-)
-
 
 class OctahedralTable(NamedTuple):
     """2O and its action on P^1, indexed by small ints.
 
-    mats[0] is the identity; mul, inv, neg and conj are the product,
-    inverse, sign flip and mat2_conj on indices.  points are the 26
-    eigenpoints in flat_key order, so index tuples sort as coordinate
-    tuples do; act[a][p] is the image of point p under mats[a].  eig[a]
-    maps the fixed points of a nonscalar mats[a], in increasing k, to
-    the exponent k of its eigenvalue zeta_24^k there; None for +-1.
+    mats[0] is the identity; mul, inv and neg are the product, inverse
+    and sign flip on indices.  points are the 26 eigenpoints in flat_key
+    order, so index tuples sort as coordinate tuples do; act[a][p] is the
+    image of point p under mats[a].  eig[a] maps the fixed points of a
+    nonscalar mats[a], in increasing k, to the exponent k of its
+    eigenvalue zeta_24^k there; None for +-1.
     """
 
     mats: tuple
@@ -65,7 +52,6 @@ class OctahedralTable(NamedTuple):
     mul: tuple
     inv: tuple
     neg: tuple
-    conj: tuple
     points: tuple
     act: tuple
     eig: tuple
@@ -75,49 +61,70 @@ class OctahedralTable(NamedTuple):
 def binary_octahedral():
     """Build the table from the generator factors of the seven groups.
 
-    Left products by the generators close up to 2O along a spanning
-    tree (each element a generator times its parent); the product table
-    and point permutations follow from those of the generators.
+    Left products close up to 2O, taking a generator factor only if the
+    closure has not reached it yet; each element is a generator times
+    its parent on that spanning tree, so the product table follows from
+    the used generators' left permutations.  eig2 runs once per +- pair,
+    since -m has the eigenpoints of m with exponents + 12.  The point
+    action needs no arithmetic: if h fixes p with exponent k, then
+    a h a^-1 fixes a.p with exponent k.
     """
     gens = sorted({m for pairs in _GENERATOR_PAIRS.values()
                    for p, q in pairs
                    for m in (su2_of_quat(p), mat2_conj(su2_of_quat(q)))}
                   - {ID2}, key=flat_key)
     mats, index, tree = [ID2], {ID2: 0}, [None]
-    left = [[] for _ in gens]
-    for x, m in enumerate(mats):  # mats grows while it is scanned
-        for j, g in enumerate(gens):
-            y = mat_mul(g, m)
-            if y not in index:
-                index[y] = len(mats)
-                mats.append(y)
-                tree.append((x, j))
-            left[j].append(index[y])
-    eigs = [eig2(m) for m in mats]
-    points = sorted({v for e in eigs if e for _, v in e}, key=flat_key)
+    used, left = [], []  # left[j][x] is the index of used[j] * mats[x]
+    for g in gens:
+        if g in index:
+            continue
+        used.append(g)
+        left.append([])
+        for x, m in enumerate(mats):  # mats grows while it is scanned
+            for j, h in enumerate(used):
+                if len(left[j]) > x:  # filled before g was added
+                    continue
+                y = mat_mul(h, m)
+                if y not in index:
+                    index[y] = len(mats)
+                    mats.append(y)
+                    tree.append((x, j))
+                left[j].append(index[y])
+    mul = [tuple(range(len(mats)))]
+    for parent, j in tree[1:]:
+        mul.append(tuple(left[j][v] for v in mul[parent]))
+    minus = index[tuple(tuple(-c for c in r) for r in ID2)]
+    neg = tuple(row[minus] for row in mul)
+    inv = tuple(row.index(0) for row in mul)
+
+    found = {a: eig2(m) for a, m in enumerate(mats) if a < neg[a]}
+    points = sorted({v for e in found.values() if e for _, v in e},
+                    key=flat_key)
     at = {v: i for i, v in enumerate(points)}
     exponent = {lam: k for k, lam in enumerate(ROOTS24)}
+    eig = [None] * len(mats)
+    for a, e in found.items():
+        if e:
+            eig[a] = {at[v]: exponent[lam] for lam, v in e}
+            eig[neg[a]] = dict(sorted(
+                ((p, (k + 12) % 24) for p, k in eig[a].items()),
+                key=lambda pk: pk[1]))
 
-    def along_tree(perms, n):
-        rows = [tuple(range(n))]
-        for parent, j in tree[1:]:
-            rows.append(tuple(perms[j][v] for v in rows[parent]))
-        return tuple(rows)
-
-    mul = along_tree(left, len(mats))
-    minus = index[tuple(tuple(-c for c in r) for r in ID2)]
+    # h fixes p with exponent k, so a h a^-1 fixes a.p with exponent k
+    fixed_at = {(h, k): p for h, e in enumerate(eig) if e
+                for p, k in e.items()}
+    witness = {p: hk for hk, p in fixed_at.items()}  # any one per point
     return OctahedralTable(
         mats=tuple(mats),
         index=index,
-        mul=mul,
-        inv=tuple(row.index(0) for row in mul),
-        neg=tuple(row[minus] for row in mul),
-        conj=tuple(index[mat2_conj(m)] for m in mats),
+        mul=tuple(mul),
+        inv=inv,
+        neg=neg,
         points=tuple(points),
-        act=along_tree([[at[normalize_point(mat_vec(g, v))]
-                         for v in points] for g in gens], len(points)),
-        eig=tuple(e and {at[v]: exponent[lam] for lam, v in e}
-                  for e in eigs),
+        act=tuple(tuple(fixed_at[mul[mul[a][h]][inv[a]], k]
+                        for h, k in map(witness.get, range(len(points))))
+                  for a in range(len(mats))),
+        eig=tuple(eig),
     )
 
 
@@ -178,11 +185,6 @@ class Element(namedtuple("Element", "a b")):
         """Canonical key modulo scalars of P^3 (signs flip independently)."""
         neg = binary_octahedral().neg
         return (min(self.a, neg[self.a]), min(self.b, neg[self.b]))
-
-    def swap(self):
-        """Conjugate by C_SWAP: exchanges the two ruling factors."""
-        conj = binary_octahedral().conj
-        return Element(conj[self.b], conj[self.a])
 
     def is_identity(self):
         return self.a == self.b == 0
@@ -282,17 +284,6 @@ def is_subgroup(h, g):
     return all(e in g for e in h)
 
 
-def is_normal(h, g):
-    if not is_subgroup(h, g):
-        return False
-    for c in g.generators:
-        cinv = c.inv()
-        for e in h:
-            if c * e * cinv not in h:
-                return False
-    return True
-
-
 def index(h, g):
     if not is_subgroup(h, g):
         raise ValueError(f"{h.name} is not a subgroup of {g.name}")
@@ -302,57 +293,11 @@ def index(h, g):
     return g.order() // h.order()
 
 
-def conjugate_group(g, c):
-    """Conjugate a group: c may be an Element or the C_SWAP reflection."""
-    if isinstance(c, Element):
-        cinv = c.inv()
-        gens = [c * e * cinv for e in g.generators]
-    elif c == C_SWAP:
-        gens = [e.swap() for e in g.generators]
-    else:
-        raise ValueError("conjugator must be a rotation Element or C_SWAP")
-    out = generate_group(g.name + "^c", gens, cap=2 * g.order())
-    assert out.order() == g.order()
-    return out
-
-
 def flat_key(key):
     # flatten nested Cyc structures into plain int tuples, for sorting
     if isinstance(key, Cyc):
         return (key.num, key.den)
     return tuple(flat_key(x) for x in key)
-
-
-def conjugacy_classes(g):
-    """Partition into conjugacy classes (works projectively too)."""
-    if isinstance(g, ProjectiveGroup):
-        keys = set(g.reps)
-        lookup = g.reps
-        all_elems = list(g.reps.values())
-        classes = []
-        while keys:
-            k = keys.pop()
-            orbit = {k}
-            e = lookup[k]
-            for x in all_elems:
-                ck = (x * e * x.inv()).proj_key()
-                orbit.add(ck)
-            keys -= orbit
-            classes.append(sorted(orbit))
-        classes.sort(key=lambda cl: (len(cl), cl[0]))
-        return classes
-    pool = set(g.elements)
-    all_elems = list(g.elements)
-    classes = []
-    while pool:
-        e = pool.pop()
-        orbit = {e}
-        for x in all_elems:
-            orbit.add(x * e * x.inv())
-        pool -= orbit
-        classes.append(orbit)
-    classes.sort(key=len)
-    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,132 @@
+"""Exact helpers that only the tests use, kept out of the package.
+
+Field constants, matrix and group operations that serve as oracles for
+the table-driven code in k3pencils, or as checks the report does not
+need: matrix-vector products, determinants, SU(2) inverses, normality,
+conjugation (by a rotation or by the factor-swapping reflection) and
+conjugacy classes.
+"""
+
+from k3pencils.algebra import ONE, Q1, Q2, ZERO, Cyc, mat2_conj, quat_mul
+from k3pencils.groups import (
+    Element,
+    ProjectiveGroup,
+    binary_octahedral,
+    generate_group,
+    is_subgroup,
+)
+
+SQRT3 = Cyc.zeta(2) + Cyc.zeta(22)
+OMEGA = Cyc.zeta(8)  # primitive cube root of unity
+Q3 = quat_mul(Q1, Q2)  # k
+
+# quaternion-coordinate reflection diag(1,-1,-1,-1); conjugating by it
+# swaps the two factors of a rotation pair (it is not itself a rotation,
+# so it has no pair representation)
+C_SWAP = tuple(
+    tuple(
+        Cyc.from_int(1 if i == j == 0 else (-1 if i == j else 0))
+        for j in range(4)
+    )
+    for i in range(4)
+)
+
+
+def mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = ZERO
+        for x, y in zip(row, v):
+            acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def mat_det(a):
+    n = len(a)
+    rows = [list(r) for r in a]
+    det = ONE
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c].inv()
+        for i in range(c + 1, n):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def su2_inv(m):
+    # determinant-1 shortcut
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def swap(e):
+    """Conjugate by C_SWAP: exchanges the two ruling factors."""
+    t = binary_octahedral()
+    return Element(t.index[mat2_conj(t.mats[e.b])],
+                   t.index[mat2_conj(t.mats[e.a])])
+
+
+def is_normal(h, g):
+    if not is_subgroup(h, g):
+        return False
+    for c in g.generators:
+        cinv = c.inv()
+        for e in h:
+            if c * e * cinv not in h:
+                return False
+    return True
+
+
+def conjugate_group(g, c):
+    """Conjugate a group: c may be an Element or the C_SWAP reflection."""
+    if isinstance(c, Element):
+        cinv = c.inv()
+        gens = [c * e * cinv for e in g.generators]
+    elif c == C_SWAP:
+        gens = [swap(e) for e in g.generators]
+    else:
+        raise ValueError("conjugator must be a rotation Element or C_SWAP")
+    out = generate_group(g.name + "^c", gens, cap=2 * g.order())
+    assert out.order() == g.order()
+    return out
+
+
+def conjugacy_classes(g):
+    """Partition into conjugacy classes (works projectively too)."""
+    if isinstance(g, ProjectiveGroup):
+        keys = set(g.reps)
+        lookup = g.reps
+        all_elems = list(g.reps.values())
+        classes = []
+        while keys:
+            k = keys.pop()
+            orbit = {k}
+            e = lookup[k]
+            for x in all_elems:
+                ck = (x * e * x.inv()).proj_key()
+                orbit.add(ck)
+            keys -= orbit
+            classes.append(sorted(orbit))
+        classes.sort(key=lambda cl: (len(cl), cl[0]))
+        return classes
+    pool = set(g.elements)
+    all_elems = list(g.elements)
+    classes = []
+    while pool:
+        e = pool.pop()
+        orbit = {e}
+        for x in all_elems:
+            orbit.add(x * e * x.inv())
+        pool -= orbit
+        classes.append(orbit)
+    classes.sort(key=len)
+    return classes

@@ -33,7 +33,6 @@ from k3pencils.groups import (
     GROUP_LABELS,
     group,
     index,
-    is_normal,
     pgroup,
 )
 from k3pencils.lattices import (
@@ -58,6 +57,8 @@ from k3pencils.singularities import (
     quadric_point_singularity,
 )
 from k3pencils.tables import KNOWN_DEVIATIONS, run_verification
+
+from exact_oracles import is_normal
 
 PENCIL_GROUPS = data.GROUP_ORDER
 

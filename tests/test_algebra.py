@@ -8,36 +8,32 @@ from k3pencils.algebra import (
     HALF,
     I,
     ONE,
-    OMEGA,
     P3,
     P4,
     Q1,
     Q2,
-    Q3,
     QUAT_ONE,
     ROOTS24,
     SQRT2,
-    SQRT3,
     ZERO,
     Cyc,
     eig2,
     eigenspaces,
     mat2_conj,
     mat4_of_pair,
-    mat_det,
     mat_identity,
     mat_mul,
     mat_scale,
     mat_transpose,
-    mat_vec,
     normalize_point,
     nullspace,
     quat_mul,
     quat_of_su2,
     scalar_of,
-    su2_inv,
     su2_of_quat,
 )
+
+from exact_oracles import OMEGA, Q3, SQRT3, mat_det, mat_vec, su2_inv
 
 rng = random.Random(20240824)
 
@@ -275,6 +271,13 @@ class TestEigen:
         assert {lam for lam, _ in pairs} == {I, -I}
         for lam, v in pairs:
             assert mat_vec(m, v) == tuple(lam * x for x in v)
+
+    def test_eig2_rejects_eigenvalues_outside_mu24(self):
+        two = Cyc.from_int(2)
+        for m in (((two, ZERO), (ZERO, HALF)),  # trace 5/2
+                  ((ONE, ONE), (ZERO, ONE))):  # trace 2, not diagonalisable
+            with pytest.raises(ValueError, match="mu_24"):
+                eig2(m)
 
     def test_eig2_scalar_returns_none(self):
         assert eig2(mat_scale(mat_identity(2), -ONE)) is None

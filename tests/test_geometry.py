@@ -12,7 +12,6 @@ from k3pencils.algebra import (
     QUAT_ONE,
     ZERO,
     eigenspaces,
-    mat_vec,
     quat_mul,
     quat_of_su2,
 )
@@ -50,6 +49,8 @@ from k3pencils.geometry import (
     stabilizer,
     transversal_line,
 )
+
+from exact_oracles import mat_vec
 
 # orbit lengths of pure-element fix points, grouped by fixer order,
 # one entry per (group, side)

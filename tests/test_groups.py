@@ -1,14 +1,16 @@
 """Group generation, the seven-entry registry, and subgroup structure."""
 
+from collections import Counter
+
 import pytest
 
+from k3pencils import algebra, groups
 from k3pencils.algebra import (
     ONE,
     P3,
     P4,
     Q1,
     Q2,
-    Q3,
     QUAT_ONE,
     ROOTS24,
     eig2,
@@ -16,30 +18,34 @@ from k3pencils.algebra import (
     mat_identity,
     mat_mul,
     mat_scale,
-    mat_vec,
     normalize_point,
     quat_mul,
-    su2_inv,
     su2_of_quat,
 )
 from k3pencils.groups import (
     _GENERATOR_PAIRS,
     AMBIENT,
-    C_SWAP,
     DEFAULT_DEGREE,
     GROUP_LABELS,
     Element,
     binary_octahedral,
-    conjugacy_classes,
-    conjugate_group,
     flat_key,
     generate_group,
     group,
     index,
-    is_normal,
     is_subgroup,
     pgroup,
     projectivize,
+)
+
+from exact_oracles import (
+    C_SWAP,
+    Q3,
+    conjugacy_classes,
+    conjugate_group,
+    is_normal,
+    mat_vec,
+    su2_inv,
 )
 
 EXPECTED_ORDERS = {
@@ -117,7 +123,6 @@ class TestOctahedralTable:
         for a, m in enumerate(t.mats):
             assert t.mats[t.inv[a]] == su2_inv(m)
             assert t.mats[t.neg[a]] == _neg(m)
-            assert t.mats[t.conj[a]] == mat2_conj(m)
             for b, n in enumerate(t.mats):
                 assert t.mats[t.mul[a][b]] == mat_mul(m, n)
 
@@ -142,6 +147,66 @@ class TestOctahedralTable:
             assert list(t.eig[a].items()) == want
             assert set(t.eig[a]) == {p for p in range(26)
                                      if t.act[a][p] == p}
+
+    # the facts the build relies on, read from the table alone
+
+    def test_point_action_is_a_homomorphism(self):
+        t = binary_octahedral()
+        for a in range(48):
+            for b in range(48):
+                assert t.act[t.mul[a][b]] == tuple(t.act[a][q]
+                                                   for q in t.act[b])
+
+    def test_conjugate_fixes_the_moved_points_with_the_same_exponents(self):
+        t = binary_octahedral()
+        for a in range(48):
+            for h, e in enumerate(t.eig):
+                moved = e and {t.act[a][p]: k for p, k in e.items()}
+                assert t.eig[t.mul[t.mul[a][h]][t.inv[a]]] == moved
+
+    def test_negation_adds_12_to_the_exponents(self):
+        t = binary_octahedral()
+        for a, e in enumerate(t.eig):
+            assert t.eig[t.neg[a]] == (
+                e and {p: (k + 12) % 24 for p, k in e.items()})
+
+    def test_exponents_are_listed_in_increasing_order(self):
+        for e in binary_octahedral().eig:
+            if e:
+                assert list(e.values()) == sorted(e.values())
+
+    def test_build_stays_within_its_exact_arithmetic_budget(self,
+                                                            monkeypatch):
+        calls = Counter()
+        open_eig2 = []
+
+        def counted_mat_mul(a, b):
+            calls["mat_mul"] += 1
+            return algebra.mat_mul(a, b)
+
+        def counted_eig2(m):
+            calls["eig2"] += 1
+            open_eig2.append(m)
+            try:
+                return algebra.eig2(m)
+            finally:
+                open_eig2.pop()
+
+        def counted_normalize_point(v):
+            if not open_eig2:
+                calls["normalize_point outside eig2"] += 1
+            return normalize_point(v)  # this module's unpatched import
+
+        monkeypatch.setattr(groups, "mat_mul", counted_mat_mul)
+        monkeypatch.setattr(groups, "eig2", counted_eig2)
+        for module in (algebra, groups):
+            monkeypatch.setattr(module, "normalize_point",
+                                counted_normalize_point, raising=False)
+        t = binary_octahedral.__wrapped__()
+        assert len(t.mats) == 48 and len(t.points) == 26
+        assert calls["mat_mul"] <= 260
+        assert calls["eig2"] <= 24
+        assert calls["normalize_point outside eig2"] == 0
 
     @pytest.mark.parametrize("label", GROUP_LABELS)
     def test_closure_matches_exact_search(self, label):

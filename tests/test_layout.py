@@ -14,16 +14,8 @@ READERS = (PACKAGE, ROOT / "benchmarks" / "k3bench")
 
 # public names read only by the tests, or kept for an open ROADMAP item
 ALLOWED_UNREAD = {
-    "SQRT3": "oracle for the algebra tests",
-    "OMEGA": "oracle for the algebra tests",
-    "Q3": "oracle for the algebra and table tests",
-    "mat_det": "oracle for the algebra tests",
     "eigenspaces": "oracle for the fix-line tests",
-    "su2_inv": "oracle for the 2O table tests",
     "point_coords": "the tests' accessor for point coordinates",
-    "is_normal": "acceptance criterion 1",
-    "conjugate_group": "the group tests",
-    "conjugacy_classes": "the group tests",
     "SMOOTH_DISC": "printed discriminants, ROADMAP item 1",
     "SINGULAR_DISC": "printed discriminants, ROADMAP item 1",
     "index_formula_check": "lattice check, ROADMAP item 2",

@@ -104,6 +104,9 @@ def parse_config(text):
 
 
 def _term(curve, coeff):
+    if coeff == 0:
+        # terms that cancel: keeps the curve in the class, as parsed
+        return "+%s -%s" % (curve, curve)
     sign = "+" if coeff > 0 else "-"
     return " ".join([sign + curve] * abs(coeff))
 
@@ -120,6 +123,6 @@ def emit_config(cfg):
         lines.append("edge %s %s" % (a, b) if mult == 1
                      else "edge %s %s mult=%d" % (a, b, mult))
     for name, coeffs in cfg.classes.items():
-        terms = [_term(c, k) for c, k in coeffs.items() if k]
+        terms = [_term(c, k) for c, k in coeffs.items()]
         lines.append("class %s = %s" % (name, " ".join(terms)))
     return "\n".join(lines) + "\n" if lines else ""

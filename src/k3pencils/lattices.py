@@ -7,6 +7,8 @@ Smith and Hermite normal forms for discriminant groups and overlattice
 gluing.
 """
 
+import math
+
 
 class CurveGraph:
     """Named curves with self-intersections and meeting multiplicities."""
@@ -36,9 +38,13 @@ class CurveGraph:
 
 
 class IntegralLattice:
-    """A symmetric integer Gram matrix with named basis vectors."""
+    """A symmetric integer Gram matrix with named basis vectors.
 
-    __slots__ = ("gram", "basis_names")
+    Immutable once built: discriminant() fills the _disc slot on first
+    use, and that single write is the only one allowed after __init__.
+    """
+
+    __slots__ = ("gram", "basis_names", "_disc")
 
     def __init__(self, gram, basis_names=None):
         gram = tuple(tuple(int(x) for x in row) for row in gram)
@@ -55,8 +61,15 @@ class IntegralLattice:
         basis_names = tuple(basis_names)
         if len(basis_names) != n:
             raise ValueError("need one name per basis vector")
-        self.gram = gram
-        self.basis_names = basis_names
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "_disc", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntegralLattice is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("IntegralLattice is immutable")
 
     @property
     def rank(self):
@@ -229,8 +242,13 @@ def _det_bareiss(m):
 
 
 def discriminant(l):
-    """Signed determinant of the Gram matrix (1 for the empty lattice)."""
-    return _det_bareiss(l.gram)
+    """Signed determinant of the Gram matrix (1 for the empty lattice).
+
+    Computed once per lattice object and kept in its _disc slot.
+    """
+    if l._disc is None:
+        object.__setattr__(l, "_disc", _det_bareiss(l.gram))
+    return l._disc
 
 
 def smith_normal_form(m):
@@ -279,16 +297,15 @@ def smith_normal_form(m):
                     ragged = True
             if ragged:
                 continue
-            # the pivot divides its whole row and column: clear both
+            # the pivot divides its whole row and column: clear the
+            # column by row operations; column t is then zero off the
+            # pivot, so the column operations only zero the rest of
+            # row t
             for i in range(t + 1, rows):
                 if a[i][t]:
                     q = a[i][t] // piv
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // piv
-                    for row in a:
-                        row[j] -= q * row[t]
+            a[t][t + 1:] = [0] * (cols - t - 1)
             stray = next(
                 (i for i in range(t + 1, rows)
                  for j in range(t + 1, cols) if a[i][j] % piv), None)
@@ -311,14 +328,12 @@ def discriminant_group(l):
     return DiscriminantGroup([d for d in diag if d > 1])
 
 
-def _gram_times(l, v):
-    return [sum(l.gram[i][j] * v[j] for j in range(l.rank))
-            for i in range(l.rank)]
-
-
-def _square(l, v):
-    gv = _gram_times(l, v)
-    return sum(c * g for c, g in zip(v, gv))
+def _combine(terms, rows):
+    """The sum of c * rows[k] over the (k, c) pairs of terms."""
+    out = [0] * len(rows)
+    for k, c in terms:
+        out = [x + c * y for x, y in zip(out, rows[k])]
+    return out
 
 
 def is_p_divisible(l, v, p):
@@ -331,9 +346,13 @@ def is_p_divisible(l, v, p):
     coeffs = v.coeffs
     if len(coeffs) != l.rank:
         raise ValueError("class length does not match lattice rank")
-    if any(x % p for x in _gram_times(l, coeffs)):
+    support = [(j, c) for j, c in enumerate(coeffs) if c]
+    # Gram . v from the rows of the support (the Gram is symmetric);
+    # v . v reuses it
+    gv = _combine(support, l.gram)
+    if any(x % p for x in gv):
         return False
-    return _square(l, coeffs) % (2 * p * p) == 0
+    return sum(c * gv[j] for j, c in support) % (2 * p * p) == 0
 
 
 def nikulin_count_check(l, v, p):
@@ -425,31 +444,45 @@ def adjoin_class(l, v, p):
 
     Computes a Hermite basis of the lattice spanned by the old basis
     and v/p, and the Gram matrix in that basis.  Divides the
-    discriminant by exactly p^2 and keeps the lattice even.
+    discriminant by exactly p^2 and keeps the lattice even.  Raises
+    ValueError unless v is p-divisible and of order p modulo p l (the
+    gcd of p and the coefficients of v is 1).
     """
     if p == 1:
         return l
     if not is_p_divisible(l, v, p):
         raise ValueError("class is not %d-divisible on this lattice" % p)
+    g = math.gcd(p, *v.coeffs)
+    if g != 1:
+        # v/p is then (v/g)/(p/g): the overlattice has index p/g, and
+        # the discriminant drops by (p/g)^2, not p^2
+        raise ValueError("class/%d adds index %d, not %d: %d divides %d "
+                         "and every coefficient" % (p, p // g, p, g, p))
     n = l.rank
     stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     stacked.append(list(v.coeffs))
     basis = _hnf_rows(stacked)
-    assert len(basis) == n
-    # new basis vectors are rows/p; Gram' = B G B^T / p^2
-    bg = [[sum(row[k] * l.gram[k][j] for k in range(n)) for j in range(n)]
-          for row in basis]
+    if len(basis) != n:
+        raise ArithmeticError("overlattice basis has rank %d, not %d"
+                              % (len(basis), n))
+    # new basis vectors are rows/p; Gram' = B G B^T / p^2.  Hermite
+    # rows are mostly p * e_i, so both products sum rows over the
+    # nonzero entries of a basis row: B G from rows of G, then row j
+    # of Gram' from columns of B G (Gram' is symmetric)
+    support = [[(k, c) for k, c in enumerate(row) if c] for row in basis]
+    bg_cols = list(zip(*[_combine(terms, l.gram) for terms in support]))
+    pp = p * p
     gram = []
-    for i in range(n):
-        line = []
-        for j in range(n):
-            num = sum(bg[i][k] * basis[j][k] for k in range(n))
-            assert num % (p * p) == 0, "overlattice Gram not integral"
-            line.append(num // (p * p))
-        gram.append(line)
+    for terms in support:
+        line = _combine(terms, bg_cols)
+        if any(x % pp for x in line):
+            raise ArithmeticError("overlattice Gram not integral")
+        gram.append([x // pp for x in line])
     out = IntegralLattice(gram)
-    assert out.is_even(), "overlattice not even"
-    assert discriminant(out) * p * p == discriminant(l)
+    if not out.is_even():
+        raise ArithmeticError("overlattice not even")
+    if discriminant(out) * pp != discriminant(l):
+        raise ArithmeticError("overlattice discriminant is not d(l)/p^2")
     return out
 
 

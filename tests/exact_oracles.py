@@ -4,8 +4,11 @@ Field constants, matrix and group operations that serve as oracles for
 the table-driven code in k3pencils, or as checks the report does not
 need: matrix-vector products, determinants, SU(2) inverses, normality,
 conjugation (by a rotation or by the factor-swapping reflection) and
-conjugacy classes.
+conjugacy classes.  The lattice oracles redo integer determinants and
+overlattice Gram matrices in Fraction arithmetic.
 """
+
+from fractions import Fraction
 
 from k3pencils.algebra import ONE, Q1, Q2, ZERO, Cyc, mat2_conj, quat_mul
 from k3pencils.groups import (
@@ -60,6 +63,36 @@ def mat_det(a):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+def fraction_det(m):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def fraction_overlattice_gram(gram, basis, p):
+    """B G B^T / p^2 by dense products, as nested lists of Fractions."""
+    n = len(gram)
+    bg = [[sum(row[k] * gram[k][j] for k in range(n)) for j in range(n)]
+          for row in basis]
+    return [[Fraction(sum(x * y for x, y in zip(line, col)), p * p)
+             for col in basis] for line in bg]
 
 
 def su2_inv(m):

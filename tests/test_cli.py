@@ -166,6 +166,18 @@ class TestLattice:
         assert main(["lattice", "adjoin", six_a2, "-p", "2"]) == 2
         assert "cannot adjoin" in capsys.readouterr().err
 
+    def test_adjoin_class_of_order_below_p_exits_2(self, tmp_path,
+                                                   capsys):
+        # 2-divisible, but it lies in 2L: adjoining it/2 adds nothing
+        path = tmp_path / "four.cfg"
+        path.write_text("curve A\ncurve B\ncurve C\ncurve D\n"
+                        "class v = +A +A +B +B\n")
+        assert main(["lattice", "adjoin", str(path), "-p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: class/2 adds index 1, not 2: "
+                                "2 divides 2 and every coefficient\n")
+
     def test_missing_class(self, tmp_path, capsys):
         path = tmp_path / "bare.cfg"
         path.write_text("curve A\ncurve B\nedge A B\n")

@@ -1,10 +1,15 @@
 """Gram constructors, SNF, divisibility criteria, overlattice gluing."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from exact_oracles import fraction_det, fraction_overlattice_gram
+from k3pencils import data, lattices
+from k3pencils.config import parse_config
 from k3pencils.lattices import (
     CurveGraph,
     DiscriminantGroup,
@@ -99,6 +104,65 @@ class TestIntegralLattice:
     def test_evenness(self):
         assert ade_lattice("E8").is_even()
         assert not IntegralLattice([[-1]]).is_even()
+
+    def test_attributes_cannot_be_reassigned(self):
+        l = ade_lattice("A2")
+        writes = (("gram", ((-2, 1), (1, -4))), ("basis_names", ("x", "y")),
+                  ("_disc", 7))
+        for filled in (False, True):
+            for name, value in writes:
+                with pytest.raises(AttributeError):
+                    setattr(l, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(l, name)
+            if not filled:
+                assert discriminant(l) == 3  # fills the cached slot
+        assert l.gram == ((-2, 1), (1, -2))
+        assert l.basis_names == ("A2.1", "A2.2")
+        assert discriminant(l) == 3
+
+
+def random_symmetric(rng, n, lo=-5, hi=5):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = rng.randint(lo, hi)
+    return m
+
+
+class TestDeterminant:
+    # zero pivots: leading, after one elimination step, a zero first
+    # column; and a singular matrix with no zero entry
+    PIVOT_CASES = (
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, -2, 1], [0, 1, -2]],
+        [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],
+    )
+
+    @pytest.mark.parametrize("m", PIVOT_CASES)
+    def test_zero_pivots_and_singular_cases(self, m):
+        assert discriminant(IntegralLattice(m)) == fraction_det(m)
+
+    def test_matches_fraction_elimination(self):
+        # a third with a zero leading pivot (the row-swap path), a
+        # third singular
+        rng = random.Random(20261019)
+        for trial in range(240):
+            n = 1 + trial % 12
+            m = random_symmetric(rng, n)
+            singular = trial % 3 == 2 and n > 1
+            if trial % 3 == 1:
+                m[0][0] = 0
+            elif singular:
+                # last row and column copy the first
+                for j in range(n - 1):
+                    m[n - 1][j] = m[j][n - 1] = m[0][j]
+                m[n - 1][n - 1] = m[0][0]
+            want = fraction_det(m)
+            assert discriminant(IntegralLattice(m)) == want, m
+            assert want == 0 or not singular
 
 
 DETS = {
@@ -288,6 +352,15 @@ class TestAdjoinClass:
         with pytest.raises(ValueError, match="divisible"):
             adjoin_class(l, DivisorClass([1]), 2)
 
+    def test_rejects_class_of_order_below_p(self):
+        # both pass is_p_divisible, but v/p adds index p/gcd(p, v) < p
+        for l, v, p in [(ade_lattice("A1"), DivisorClass([2]), 2),
+                        (sum_of(*["A1"] * 8), DivisorClass([2] * 8), 4)]:
+            assert is_p_divisible(l, v, p)
+            with pytest.raises(ValueError, match="adds index %d, not %d"
+                               % (p // 2, p)):
+                adjoin_class(l, v, p)
+
     def test_chain_supported_class(self):
         # two A3 chains with coefficients 1,2,3 plus two chains M-N-M
         # with a disjoint extra curve: square -64, 4-divisible
@@ -315,6 +388,114 @@ class TestAdjoinClass:
         out = adjoin_class(l, v, 4)
         assert discriminant(out) * 16 == discriminant(l)
         assert out.is_even()
+
+
+def check_overlattice(l, v, p):
+    """adjoin_class against B G B^T / p^2 in Fractions.
+
+    B is the Hermite basis adjoin_class uses; it must span exactly
+    p Z^n + Z v: every row lies there and |det B| is that index.
+    """
+    out = adjoin_class(l, v, p)
+    n = l.rank
+    stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    basis = lattices._hnf_rows(stacked + [list(v.coeffs)])
+    for row in basis:
+        assert any(all((r - t * c) % p == 0 for r, c in zip(row, v.coeffs))
+                   for t in range(p)), row
+    # adjoin_class accepts only v of order p modulo p Z^n
+    assert abs(fraction_det(basis)) == p ** (n - 1)
+    assert [list(r) for r in out.gram] \
+        == fraction_overlattice_gram(l.gram, basis, p)
+    return out
+
+
+class TestOverlatticeGram:
+    def test_every_shipped_divisible_class(self):
+        for ctx, name, p, text in data.DIVISIBLE_CLASSES:
+            cfg = parse_config(text)
+            lat = gram_from_graph(cfg.graph)
+            v = divisor_class(lat, cfg.classes[name])
+            out = check_overlattice(lat, v, p)
+            assert discriminant(out) * p * p == discriminant(lat), ctx
+
+    def test_divisible_classes_on_random_ade_sums(self):
+        # a known divisible class, summed with a random ADE lattice and
+        # shifted by p * w; both keep v/p integral and even
+        bases = [(["A1"] * 8, [1] * 8, 2), (["A2"] * 6, [1, -1] * 6, 3),
+                 (["A1"] * 4, [1] * 4, 2),
+                 (["A3", "A3", "A3", "A1", "A3", "A1"],
+                  [1, 2, 3, 1, 2, 3, 3, 2, 1, 2, 3, 2, 1, 2], 4)]
+        pool = ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"]
+        rng = random.Random(4242)
+        for trial in range(24):
+            symbols, coeffs, p = bases[trial % len(bases)]
+            extra = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            if trial % 2:
+                l = sum_of(*(symbols + extra))
+                coeffs = coeffs + [0] * (l.rank - len(coeffs))
+            else:
+                l = sum_of(*(extra + symbols))
+                coeffs = [0] * (l.rank - len(coeffs)) + coeffs
+            v = DivisorClass([c + p * rng.randint(-1, 1) for c in coeffs])
+            assert is_p_divisible(l, v, p), (symbols, extra, v)
+            out = check_overlattice(l, v, p)
+            assert discriminant(out) * p * p == discriminant(l)
+            assert out.is_even()
+
+
+class TestLatticeRoundBudget:
+    def test_one_determinant_per_lattice(self, monkeypatch):
+        calls = []
+        bareiss = lattices._det_bareiss
+
+        def counted(m):
+            calls.append(len(m))
+            return bareiss(m)
+
+        monkeypatch.setattr(lattices, "_det_bareiss", counted)
+        for ctx, name, p, text in data.DIVISIBLE_CLASSES:
+            cfg = parse_config(text)
+            lat = gram_from_graph(cfg.graph)
+            v = divisor_class(lat, cfg.classes[name])
+            del calls[:]
+            d = discriminant(lat)
+            discriminant_group(lat)
+            big = adjoin_class(lat, v, p)
+            assert discriminant(big) * p * p == d
+            assert calls == [lat.rank, big.rank], (ctx, name)
+
+
+# sabotaged Hermite bases that each break one adjoin_class check
+OPTIMIZED_ADJOIN = """
+from k3pencils import lattices as L
+four = L.IntegralLattice([[-2 * (i == j) for j in range(4)]
+                          for i in range(4)])
+cases = (lambda rows: rows[1:4],
+         lambda rows: [[1, 0, 0, 0]] + rows[1:4],
+         lambda rows: [[1, 1, 0, 0]] + rows[1:4],
+         lambda rows: rows[:4])
+print(__debug__)
+for sabotage in cases:
+    L._hnf_rows = sabotage
+    try:
+        L.adjoin_class(four, L.DivisorClass([1, 1, 1, 1]), 2)
+    except ArithmeticError as exc:
+        print(exc)
+"""
+
+
+def test_adjoin_checks_survive_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_ADJOIN],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "overlattice basis has rank 3, not 4",
+        "overlattice Gram not integral",
+        "overlattice not even",
+        "overlattice discriminant is not d(l)/p^2",
+    ]
 
 
 class TestIndexFormula:

@@ -117,6 +117,21 @@ class TestEmitConfig:
         again = parse_config(emit_config(parse_config(text)))
         assert again.classes["v"] == {"A": -2, "B": 1}
 
+    @pytest.mark.parametrize("terms, want", [
+        ("+A -A", {"A": 0}),
+        ("-B +A +B -A", {"B": 0, "A": 0}),
+        ("+A +A -A +B -B -B", {"A": 1, "B": -1}),
+        ("+A -A +B +B +B", {"A": 0, "B": 3}),
+    ])
+    def test_round_trip_is_exact_for_cancelling_and_repeated_terms(
+            self, terms, want):
+        cfg = parse_config("curve A\ncurve B\nclass v = %s\n" % terms)
+        assert cfg.classes == {"v": want}
+        again = parse_config(emit_config(cfg))
+        assert again.classes == cfg.classes
+        assert list(again.classes["v"].items()) == list(want.items())
+        assert emit_config(again) == emit_config(cfg)
+
 
 @pytest.fixture(scope="module")
 def all_results():

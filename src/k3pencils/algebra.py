@@ -216,16 +216,6 @@ def _dot(u, v):
     return acc
 
 
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_sub(a, b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_transpose(a):
     return tuple(zip(*a))
 
@@ -284,28 +274,6 @@ def nullspace(a):
     if basis:
         basis, _ = _rref(basis)
     return [tuple(v) for v in basis]
-
-
-def eigenspaces(m):
-    """Eigenvalue -> eigenspace basis, scanning the 24th roots of unity.
-
-    Only valid for finite-order matrices (all of ours); raises if the
-    eigenvalues found do not span.
-    """
-    n = len(m)
-    out = []
-    total = 0
-    for lam in ROOTS24:
-        shifted = mat_sub(m, mat_scale(mat_identity(n), lam))
-        basis = nullspace(shifted)
-        if basis:
-            out.append((lam, basis))
-            total += len(basis)
-        if total == n:
-            break
-    if total != n:
-        raise ValueError("eigenvalue outside mu_24")
-    return out
 
 
 # ---------------------------------------------------------------------------

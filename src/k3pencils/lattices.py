@@ -8,6 +8,7 @@ gluing.
 """
 
 import math
+from collections import namedtuple
 
 
 class CurveGraph:
@@ -170,10 +171,52 @@ def gram_from_graph(g):
     return IntegralLattice(gram, names)
 
 
+_VALID_E = (6, 7, 8)
+
+
+class ADEType(namedtuple("ADEType", "kind index")):
+    """One irreducible root-lattice symbol: A_n, D_n or E_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, index):
+        if kind == "A":
+            if index < 1:
+                raise ValueError("A_n needs n >= 1")
+        elif kind == "D":
+            if index < 4:
+                raise ValueError("D_n needs n >= 4")
+        elif kind == "E":
+            if index not in _VALID_E:
+                raise ValueError("E_n needs n in {6, 7, 8}")
+        else:
+            raise ValueError("unknown Dynkin kind %r" % (kind,))
+        return super().__new__(cls, kind, int(index))
+
+    @classmethod
+    def parse(cls, text):
+        s = text.strip().replace("_", "")
+        if not s or s[0] not in "ADE":
+            raise ValueError("cannot parse Dynkin symbol %r" % (text,))
+        try:
+            n = int(s[1:])
+        except ValueError:
+            raise ValueError("cannot parse Dynkin symbol %r" % (text,))
+        return cls(s[0], n)
+
+    @property
+    def rank(self):
+        return self.index
+
+    def __str__(self):
+        return "%s%d" % (self.kind, self.index)
+
+    def __repr__(self):
+        return "ADEType(%r, %d)" % (self.kind, self.index)
+
+
 def ade_lattice(t):
     """Negative-definite root lattice of the given Dynkin type."""
-    from .singularities import ADEType
-
     if isinstance(t, str):
         t = ADEType.parse(t)
     n = t.index

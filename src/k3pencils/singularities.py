@@ -23,50 +23,7 @@ from .geometry import (
     points_off_quadric,
 )
 from .groups import DEFAULT_DEGREE, pgroup
-
-_VALID_E = (6, 7, 8)
-
-
-class ADEType(namedtuple("ADEType", "kind index")):
-    """One irreducible root-lattice symbol: A_n, D_n or E_n."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind, index):
-        if kind == "A":
-            if index < 1:
-                raise ValueError("A_n needs n >= 1")
-        elif kind == "D":
-            if index < 4:
-                raise ValueError("D_n needs n >= 4")
-        elif kind == "E":
-            if index not in _VALID_E:
-                raise ValueError("E_n needs n in {6, 7, 8}")
-        else:
-            raise ValueError("unknown Dynkin kind %r" % (kind,))
-        return super().__new__(cls, kind, int(index))
-
-    @classmethod
-    def parse(cls, text):
-        s = text.strip().replace("_", "")
-        if not s or s[0] not in "ADE":
-            raise ValueError("cannot parse Dynkin symbol %r" % (text,))
-        try:
-            n = int(s[1:])
-        except ValueError:
-            raise ValueError("cannot parse Dynkin symbol %r" % (text,))
-        return cls(s[0], n)
-
-    @property
-    def rank(self):
-        return self.index
-
-    def __str__(self):
-        return "%s%d" % (self.kind, self.index)
-
-    def __repr__(self):
-        return "ADEType(%r, %d)" % (self.kind, self.index)
-
+from .lattices import ADEType
 
 _POLYHEDRAL = {"T": 12, "O": 24, "I": 60}
 
@@ -169,9 +126,9 @@ class NodeOrbitRecord(namedtuple(
     """Ingested invariants of the nodes of one singular pencil member.
 
     node_count and fix_group come from the classical description of the
-    pencils; line_incidences holds (type tag, fix-line orbit length,
-    lines of that class through each node) triples that structure the
-    free-text meeting_lines annotation.
+    pencils; line_incidences holds (fix-line columns, lines of those
+    columns through each node) pairs that structure the free-text
+    meeting_lines annotation.
     """
 
     __slots__ = ()
@@ -200,37 +157,54 @@ NODE_COUNTS = {6: (12, 48, 48, 12), 8: (24, 72, 144, 96)}
 _TERM = re.compile(r"(\d+)(.+)")
 
 
-def _columns(name, columns):
-    """The fix-line columns that one meeting-lines term names."""
-    if name in columns:
-        return [name]
-    if name in ("Mi", "Mij"):
-        return [c for c in columns if c[0] == "M" and c[1:].isdigit()]
-    if name == "N(N')":
-        return [c for c in columns if c in ("N", "N'")]
-    return []
+def fixline_columns(label):
+    """{printed fix-line column: its rows of fixlines_table(label)}.
+
+    Within one |F_L|, the data.FIXLINES columns, sorted by printed
+    length, each take `classes` consecutive rows sorted by computed
+    length.  An order whose class counts do not add up to its rows gets
+    no columns.  Every call returns a fresh dict.
+    """
+    printed = [r for r in data.FIXLINES if r[0] == label]
+    computed = fixlines_table(label)
+    out = {}
+    for o in sorted({r[3] for r in printed}):
+        cols = sorted((r for r in printed if r[3] == o), key=lambda r: r[4])
+        rows = sorted((c for c in computed if c.fix_order == o),
+                      key=lambda c: c.length)
+        if sum(r[6] for r in cols) == len(rows):
+            for r in cols:
+                out[r[1]], rows = tuple(rows[:r[6]]), rows[r[6]:]
+    return out
 
 
 def parse_meeting_lines(label, text):
-    """(type tag, fix-line orbit length, lines through each node) triples.
+    """(fix-line columns, lines through each node) pairs.
 
     text is a meeting-lines annotation of data.NODES such as "3Mi+4N":
-    terms <count><column> joined by "+".  A column is one of the group's
-    data.FIXLINES columns, or a family of them: "Mi" / "Mij" for the
-    numbered M columns, "N(N')" for N and N'.  Counts add up per (tag,
-    orbit length), the pooling that _nu3_at_fiber works with.
+    terms <count><name> joined by "+".  A name is one of the group's
+    data.FIXLINES columns or else a family of them: "Mi" / "Mij" for
+    the numbered M columns, "N(N')" for N and N'.
     """
-    lengths = {r[1]: r[4] for r in data.FIXLINES if r[0] == label}
-    out = {}
+    columns = [r[1] for r in data.FIXLINES if r[0] == label]
+    out = []
     for term in text.split("+") if text else ():
         m = _TERM.fullmatch(term)
-        found = {lengths[c] for c in _columns(m[2], lengths)} if m else ()
-        if len(found) != 1:
-            raise ValueError("%s: meeting-lines term %r names no single"
-                             " fix-line orbit length" % (label, term))
-        key = (m[2][0], found.pop())
-        out[key] = out.get(key, 0) + int(m[1])
-    return tuple((tag, length, n) for (tag, length), n in out.items())
+        name = m[2] if m else ""
+        if name in columns:
+            names = (name,)
+        elif name in ("Mi", "Mij"):
+            names = tuple(c for c in columns
+                          if c[0] == "M" and c[1:].isdigit())
+        elif name == "N(N')":
+            names = tuple(c for c in columns if c in ("N", "N'"))
+        else:
+            names = ()
+        if not names:
+            raise ValueError("%s: meeting-lines term %r names no fix-line"
+                             " column" % (label, term))
+        out.append((names, int(m[1])))
+    return tuple(out)
 
 
 @cache
@@ -250,29 +224,36 @@ def _nu3_at_fiber(label, record):
     On a line L with m off-quadric special points, each node lying on L
     is a double point of the intersection with the pencil member, so k
     nodes leave m - 2k simple points falling into (m - 2k)/hbar orbits.
-    k is reconstructed from the per-node line counts: incidences pool
-    the orbit rows sharing (tag, orbit length), which also absorbs the
-    alternating N/N' annotations.
+    k is reconstructed from the per-node line counts: the incidences of
+    one meeting-lines term spread evenly over the lines of the rows its
+    columns name, which also absorbs the alternating N/N' annotations.
     """
-    degree = DEFAULT_DEGREE[label]
-    rows = fixlines_table(label)
-    pooled = {}
-    for row in rows:
-        key = (row.type_tag, row.length)
-        pooled[key] = pooled.get(key, 0) + row.length
+    where = "%s lambda%d" % (label, record.fiber)
+    columns = fixline_columns(label)
     k_of = {}
-    for tag, length, per_node in record.line_incidences:
-        total = pooled[(tag, length)]
+    for names, per_node in record.line_incidences:
+        if not all(c in columns for c in names):
+            raise ValueError("%s: fix-line columns %s match no computed"
+                             " rows" % (where, "+".join(names)))
+        rows = [row for c in names for row in columns[c]]
+        lines = sum(row.length for row in rows)
         hits = record.node_count * per_node
-        assert hits % total == 0, (label, record.fiber, tag)
-        k_of[(tag, length)] = hits // total
+        if hits % lines:
+            raise ValueError("%s: %d node incidences do not share out over"
+                             " the %d lines of %s" % (where, hits, lines,
+                                                      "+".join(names)))
+        for row in rows:
+            k_of[row] = k_of.get(row, 0) + hits // lines
     nu3 = 0
-    for row in rows:
-        m = points_off_quadric(row.rep, degree)
-        k = k_of.get((row.type_tag, row.length), 0)
+    for row in fixlines_table(label):
+        m = points_off_quadric(row.rep, DEFAULT_DEGREE[label])
+        k = k_of.get(row, 0)
         left = m - 2 * k
-        assert left >= 0, (label, record.fiber, row.type_tag)
-        assert left % row.ratio == 0, (label, record.fiber, row.type_tag)
+        if left < 0 or left % row.ratio:
+            raise ValueError("%s: %d nodes on a %s line with %d off-quadric"
+                             " points leave %d, not a multiple of |H|/|F|"
+                             " = %d" % (where, k, row.type_tag, m, left,
+                                        row.ratio))
         nu3 += (left // row.ratio) * (row.order - 1)
     return nu3
 
@@ -294,9 +275,12 @@ def nu_totals(label, fiber):
     record = node_records(label)[fiber - 1]
     if record.node_count != NODE_COUNTS[DEFAULT_DEGREE[label]][fiber - 1]:
         raise ValueError("node count does not match the pencil degree")
-    ph = pgroup(label)
-    assert (record.orbit_count * ph.order()
-            == record.node_count * record.fix_group.so3_order), label
+    if (record.orbit_count * pgroup(label).order()
+            != record.node_count * record.fix_group.so3_order):
+        raise ValueError("%s lambda%d: orbit count %d of %d nodes with"
+                         " F = %s breaks orbit-stabilizer" % (
+                             label, fiber, record.orbit_count,
+                             record.node_count, record.fix_group.label))
     n3 = _nu3_at_fiber(label, record)
     n4 = record.orbit_count * binary_quotient_type(record.fix_group).rank
     return (n1, n2, n3, n4, n1 + n2 + n3 + n4)

@@ -33,6 +33,7 @@ from .groups import (
     pgroup,
 )
 from .lattices import (
+    ADEType,
     ade_lattice,
     direct_sum,
     discriminant,
@@ -43,8 +44,8 @@ from .lattices import (
 )
 from .singularities import (
     NODE_COUNTS,
-    ADEType,
     binary_quotient_type,
+    fixline_columns,
     node_records,
     nu_totals,
     quadric_point_singularity,
@@ -122,40 +123,25 @@ def _common(rows, get):
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
-def _deal(printed, computed, mult):
-    """{column: computed rows} for printed rows in slot order, or None.
-
-    Each printed row (column name first after the label) takes
-    mult(row) consecutive computed rows; None when the totals differ.
-    """
-    slots = [r for r in printed for _ in range(mult(r))]
-    if len(slots) != len(computed):
-        return None
-    matched = {}
-    for r, c in zip(slots, computed):
-        matched.setdefault(r[1], []).append(c)
-    return matched
-
-
 def _build_fixlines():
     for label in data.GROUP_ORDER:
         printed = [r for r in data.FIXLINES if r[0] == label]
         computed = fixlines_table(label)
+        columns = fixline_columns(label)
         orders = sorted({r[3] for r in printed}
                         | {c.fix_order for c in computed})
         for o in orders:
             prows = sorted((r for r in printed if r[3] == o),
                            key=lambda r: r[4])
-            crows = sorted((c for c in computed if c.fix_order == o),
-                           key=lambda c: c.length)
-            matched = _deal(prows, crows, lambda r: r[6])
-            if matched is None:
+            # the map places every column of an order or none of them
+            if not prows or prows[0][1] not in columns:
                 yield ("%s.classes(o=%d)" % (label, o),
-                       sum(r[6] for r in prows), len(crows))
+                       sum(r[6] for r in prows),
+                       sum(1 for c in computed if c.fix_order == o))
                 continue
             for r in prows:
                 _, name, _rep, _fix, length, ratio, mult = r
-                rows = matched[name]
+                rows = columns[name]
                 prefix = "%s.%s" % (label, name)
                 yield prefix + ".classes", mult, len(rows)
                 yield (prefix + ".type", name[0],
@@ -193,21 +179,22 @@ def _build_sing():
             yield ("%s.points.o%d" % (label, o), m,
                    got[0] if len(got) == 1 else tuple(got))
 
+        # the off-quadric rows are the fix-line rows, one for one
+        columns = fixline_columns(label)
+        off_row = dict(zip(fixlines_table(label), computed))
         mult_of = {r[1]: r[6] for r in data.FIXLINES if r[0] == label}
         printed = [r for r in data.OFFQUADRIC_ROWS if r[0] == label]
         for o in sorted({r[2] for r in printed}):
             prows = sorted((r for r in printed if r[2] == o),
                            key=lambda r: (r[4], r[3]))
-            crows = sorted((c for c in computed if c.order == o),
-                           key=lambda c: (c.number, c.length))
-            matched = _deal(prows, crows, lambda r: mult_of[r[1]])
-            if matched is None:
+            if not all(r[1] in columns for r in prows):
                 yield ("%s.lines(o=%d)" % (label, o),
-                       sum(mult_of[r[1]] for r in prows), len(crows))
+                       sum(mult_of[r[1]] for r in prows),
+                       sum(1 for c in computed if c.order == o))
                 continue
             for r in prows:
-                _, name, o_l, length, number, sing = r
-                rows = matched[name]
+                _, name, _o, length, number, sing = r
+                rows = [off_row[f] for f in columns[name]]
                 prefix = "%s.%s" % (label, name)
                 yield (prefix + ".length", length,
                        _common(rows, lambda c: c.length))

@@ -2,15 +2,27 @@
 
 Field constants, matrix and group operations that serve as oracles for
 the table-driven code in k3pencils, or as checks the report does not
-need: matrix-vector products, determinants, SU(2) inverses, normality,
-conjugation (by a rotation or by the factor-swapping reflection) and
-conjugacy classes.  The lattice oracles redo integer determinants and
-overlattice Gram matrices in Fraction arithmetic.
+need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
+inverses, normality, conjugation (by a rotation or by the
+factor-swapping reflection) and conjugacy classes.  The lattice oracles
+redo integer determinants and overlattice Gram matrices in Fraction
+arithmetic.
 """
 
 from fractions import Fraction
 
-from k3pencils.algebra import ONE, Q1, Q2, ZERO, Cyc, mat2_conj, quat_mul
+from k3pencils.algebra import (
+    ONE,
+    Q1,
+    Q2,
+    ROOTS24,
+    ZERO,
+    Cyc,
+    mat2_conj,
+    mat_identity,
+    nullspace,
+    quat_mul,
+)
 from k3pencils.groups import (
     Element,
     ProjectiveGroup,
@@ -45,6 +57,10 @@ def mat_vec(a, v):
     return tuple(out)
 
 
+def mat_scale(a, c):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
 def mat_det(a):
     n = len(a)
     rows = [list(r) for r in a]
@@ -63,6 +79,30 @@ def mat_det(a):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+def eigenspaces(m):
+    """Eigenvalue -> eigenspace basis, scanning the 24th roots of unity.
+
+    Only valid for finite-order matrices (all of ours); raises if the
+    eigenvalues found do not span.
+    """
+    n = len(m)
+    out = []
+    total = 0
+    for lam in ROOTS24:
+        scalar = mat_scale(mat_identity(n), lam)
+        shifted = tuple(tuple(x - y for x, y in zip(ra, rb))
+                        for ra, rb in zip(m, scalar))
+        basis = nullspace(shifted)
+        if basis:
+            out.append((lam, basis))
+            total += len(basis)
+        if total == n:
+            break
+    if total != n:
+        raise ValueError("eigenvalue outside mu_24")
+    return out
 
 
 def fraction_det(m):

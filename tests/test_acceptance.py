@@ -36,6 +36,7 @@ from k3pencils.groups import (
     pgroup,
 )
 from k3pencils.lattices import (
+    ADEType,
     DivisorClass,
     ade_lattice,
     adjoin_class,
@@ -50,7 +51,6 @@ from k3pencils.lattices import (
     smith_normal_form,
 )
 from k3pencils.singularities import (
-    ADEType,
     binary_quotient_type,
     node_records,
     nu_totals,

@@ -18,12 +18,10 @@ from k3pencils.algebra import (
     ZERO,
     Cyc,
     eig2,
-    eigenspaces,
     mat2_conj,
     mat4_of_pair,
     mat_identity,
     mat_mul,
-    mat_scale,
     mat_transpose,
     normalize_point,
     nullspace,
@@ -33,7 +31,16 @@ from k3pencils.algebra import (
     su2_of_quat,
 )
 
-from exact_oracles import OMEGA, Q3, SQRT3, mat_det, mat_vec, su2_inv
+from exact_oracles import (
+    OMEGA,
+    Q3,
+    SQRT3,
+    eigenspaces,
+    mat_det,
+    mat_scale,
+    mat_vec,
+    su2_inv,
+)
 
 rng = random.Random(20240824)
 

@@ -322,3 +322,31 @@ def test_validation_survives_python_O():
         assert proc.returncode == 1, code
         assert proc.stderr.strip().splitlines()[-1].startswith(exc + ":"), \
             proc.stderr
+
+
+# ingested node rows broken three ways: 5 M-lines through each of 24
+# nodes do not share out over the 72 lines of the M row; 9 put 12 nodes
+# on a line with 8 off-quadric points; one orbit of 24 nodes with F = O
+# breaks orbit-stabilizer
+NODE_SABOTAGE = (
+    (1, 3, "3R+4N(N')+5M"),
+    (4, 3, "1N(N')+9M"),
+    (1, 1, 1),
+)
+
+
+def test_node_data_checks_survive_python_O():
+    for fiber, field, value in NODE_SABOTAGE:
+        code = ("from k3pencils import data\n"
+                "from k3pencils.cli import main\n"
+                "key = ('OO2', %d)\n"
+                "row = list(data.NODES[key])\n"
+                "row[%d] = %r\n"
+                "data.NODES[key] = tuple(row)\n"
+                "raise SystemExit(main(['nu', 'OO2', '--fiber', '%d']))\n"
+                % (fiber, field, value, fiber))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: OO2 lambda%d: " % fiber), \
+            proc.stderr

@@ -11,7 +11,6 @@ from k3pencils.algebra import (
     Q2,
     QUAT_ONE,
     ZERO,
-    eigenspaces,
     quat_mul,
     quat_of_su2,
 )
@@ -50,7 +49,7 @@ from k3pencils.geometry import (
     transversal_line,
 )
 
-from exact_oracles import mat_vec
+from exact_oracles import eigenspaces, mat_vec
 
 # orbit lengths of pure-element fix points, grouped by fixer order,
 # one entry per (group, side)

@@ -17,7 +17,6 @@ from k3pencils.algebra import (
     mat2_conj,
     mat_identity,
     mat_mul,
-    mat_scale,
     normalize_point,
     quat_mul,
     su2_of_quat,
@@ -44,6 +43,7 @@ from exact_oracles import (
     conjugacy_classes,
     conjugate_group,
     is_normal,
+    mat_scale,
     mat_vec,
     su2_inv,
 )

@@ -11,6 +11,7 @@ from exact_oracles import fraction_det, fraction_overlattice_gram
 from k3pencils import data, lattices
 from k3pencils.config import parse_config
 from k3pencils.lattices import (
+    ADEType,
     CurveGraph,
     DiscriminantGroup,
     DivisorClass,
@@ -29,7 +30,6 @@ from k3pencils.lattices import (
     p_rank_bound_check,
     smith_normal_form,
 )
-from k3pencils.singularities import ADEType
 
 
 def sum_of(*symbols):

@@ -1,6 +1,7 @@
-"""Source layout: no unused relative import, no public name without a reader.
+"""Source layout: relative imports used and at module level, no public
+name without a reader.
 
-Both checks read the package with ast, so they run nothing of it.  A
+The checks read the package with ast, so they run nothing of it.  A
 public name is read when some module of src/k3pencils or
 benchmarks/k3bench loads it, by name or as an attribute, or imports it.
 """
@@ -14,7 +15,7 @@ READERS = (PACKAGE, ROOT / "benchmarks" / "k3bench")
 
 # public names read only by the tests, or kept for an open ROADMAP item
 ALLOWED_UNREAD = {
-    "eigenspaces": "oracle for the fix-line tests",
+    "nullspace": "exact 4x4 kernels, ROADMAP items 3 and 6",
     "point_coords": "the tests' accessor for point coordinates",
     "SMOOTH_DISC": "printed discriminants, ROADMAP item 1",
     "SINGULAR_DISC": "printed discriminants, ROADMAP item 1",
@@ -72,6 +73,18 @@ def test_relative_imports_are_used():
                               for a in node.names
                               if (a.asname or a.name) not in loaded)
     assert not unused
+
+
+def test_relative_imports_are_at_module_level():
+    # an import inside a function hides an edge of the module graph
+    hidden = []
+    for path, tree in _trees(PACKAGE).items():
+        top = set(map(id, tree.body))
+        hidden.extend("%s:%d" % (path.name, node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level
+                      and id(node) not in top)
+    assert not hidden
 
 
 def test_public_names_have_a_reader():

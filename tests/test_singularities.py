@@ -2,13 +2,19 @@
 
 import pytest
 
-from k3pencils.geometry import offquadric_rows, quadric_point_rows
+from k3pencils import data
+from k3pencils.geometry import (
+    fixlines_table,
+    offquadric_rows,
+    quadric_point_rows,
+)
 from k3pencils.groups import pgroup
+from k3pencils.lattices import ADEType
 from k3pencils.singularities import (
-    ADEType,
     BinaryGroupClass,
     NodeOrbitRecord,
     binary_quotient_type,
+    fixline_columns,
     node_records,
     nu_totals,
     parse_meeting_lines,
@@ -154,17 +160,38 @@ class TestNodeDataset:
             recs[0].node_count = 0
 
     def test_meeting_lines_parse(self):
-        # a family pools columns of one orbit length (N(N') is N and N',
-        # Mi the numbered M columns); M and M' of OxT differ in length
+        # a term names fix-line columns: N(N') is N and N', Mi the
+        # numbered M columns; an exact column name wins (VxV's Mij)
         assert node_records("OO2")[0].line_incidences == (
-            ("R", 18, 3), ("N", 16, 4), ("M", 72, 6))
+            (("R",), 3), (("N", "N'"), 4), (("M",), 6))
         assert node_records("OxT")[1].line_incidences == (
-            ("M", 18, 1), ("M", 36, 2))
-        assert node_records("VxV")[0].line_incidences == (("M", 2, 3),)
+            (("M",), 1), (("M'",), 2))
+        assert node_records("VxV")[0].line_incidences == ((("Mij",), 3),)
         assert parse_meeting_lines("TT1", "3Mi+4N") == (
-            ("M", 6, 3), ("N", 16, 4))
+            (("M1", "M2", "M3"), 3), (("N",), 4))
+        assert parse_meeting_lines("TT1", "4N(N')") == ((("N",), 4),)
         with pytest.raises(ValueError, match="'2R'"):
             parse_meeting_lines("TxT", "1M+2R")
+
+
+class TestFixlineColumns:
+    @pytest.mark.parametrize("label", sorted(DEGREES))
+    def test_every_printed_column_is_mapped(self, label):
+        columns = fixline_columns(label)
+        printed = [r for r in data.FIXLINES if r[0] == label]
+        assert sorted(columns) == sorted(r[1] for r in printed)
+        for _, name, _rep, fix, _length, _ratio, classes in printed:
+            assert len(columns[name]) == classes
+            assert {row.fix_order for row in columns[name]} == {fix}
+        # the columns share out the computed rows, each row once
+        mapped = [row for rows in columns.values() for row in rows]
+        assert len(mapped) == len(set(mapped))
+        assert set(mapped) == set(fixlines_table(label))
+
+    def test_each_call_returns_a_fresh_dict(self):
+        columns = fixline_columns("OO2")
+        columns.clear()
+        assert fixline_columns("OO2")
 
 
 def _quadric_cells(label):

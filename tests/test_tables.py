@@ -8,6 +8,7 @@ import pytest
 
 from k3pencils import data
 from k3pencils.config import ConfigError, emit_config, parse_config
+from k3pencils.singularities import nu_totals
 from k3pencils.tables import (
     KNOWN_DEVIATIONS,
     emit_report,
@@ -178,6 +179,25 @@ class TestRunVerification:
             if r.table_id not in seen:
                 seen.append(r.table_id)
         assert tuple(seen) == data.TABLE_IDS
+
+    def test_class_count_mismatch_fails_its_cells(self, monkeypatch):
+        # TxV prints three |F_L| = 2 columns of one class each; with M1
+        # at two classes they no longer add up to the three computed
+        # rows, so the fix-line and off-quadric cells of those columns
+        # give way to one count cell each
+        patched = tuple(r[:6] + (2,) if r[:2] == ("TxV", "M1") else r
+                        for r in data.FIXLINES)
+        monkeypatch.setattr(data, "FIXLINES", patched)
+        results = (run_verification("sec4.fixlines")
+                   + run_verification("sec5.sing"))
+        failed = {(r.table_id, r.key): (r.expected, r.computed)
+                  for r in results if r.status == "FAIL"}
+        assert failed == {("sec4.fixlines", "TxV.classes(o=2)"): (4, 3),
+                          ("sec5.sing", "TxV.lines(o=2)"): (4, 3)}
+        assert not any(r.key.startswith("TxV.M") for r in results)
+        # the node incidences name those columns: nu cannot place them
+        with pytest.raises(ValueError, match="TxV lambda1"):
+            nu_totals("TxV", 1)
 
     def test_unknown_scope(self):
         with pytest.raises(ValueError, match="unknown table"):

@@ -228,8 +228,12 @@ class Group:
         return f"Group({self.name!r}, order={self.order()})"
 
 
-def generate_group(name, generators, cap=10000):
-    """Close a generator list under multiplication (breadth-first)."""
+def generate_group(name, generators):
+    """Close a generator list under multiplication (breadth-first).
+
+    Elements are index pairs into the 2O table taken modulo the joint
+    sign, so the closure always ends, with at most 1152 of them.
+    """
     gens = [g if isinstance(g, Element) else Element.from_quats(*g)
             for g in generators]
     table = binary_octahedral()
@@ -246,8 +250,6 @@ def generate_group(name, generators, cap=10000):
                 if (x, y) not in seen:
                     seen.add((x, y))
                     new.append((x, y))
-                    if len(seen) > cap:
-                        raise ValueError("group too large or not finite")
         frontier = new
     return Group(name, gens, (Element(a, b) for a, b in seen))
 

@@ -298,76 +298,28 @@ def smith_normal_form(m):
     """Diagonal of the Smith form of an integer matrix, as a list.
 
     Entries are nonnegative and each divides the next; zeros sort last.
-    The minimal-absolute-value pivot is re-selected after every
-    reduction pass, which keeps intermediate entries small.
+    Row Hermite forms of the matrix and of its transpose alternate
+    until no entry is off the diagonal (Kannan and Bachem, 1979); gcd
+    and lcm swaps then turn the nonzero diagonal into a divisor chain.
     """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    diag = []
-    t = 0
-    while t < min(rows, cols):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            a[t], a[pi] = a[pi], a[t]
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            piv = a[t][t]
-            ragged = False
-            for i in range(t + 1, rows):
-                if a[i][t] % piv:
-                    q = a[i][t] // piv
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    ragged = True
-            if ragged:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] % piv:
-                    q = a[t][j] // piv
-                    for row in a:
-                        row[j] -= q * row[t]
-                    ragged = True
-            if ragged:
-                continue
-            # the pivot divides its whole row and column: clear the
-            # column by row operations; column t is then zero off the
-            # pivot, so the column operations only zero the rest of
-            # row t
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // piv
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            a[t][t + 1:] = [0] * (cols - t - 1)
-            stray = next(
-                (i for i in range(t + 1, rows)
-                 for j in range(t + 1, cols) if a[i][j] % piv), None)
-            if stray is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[stray])]
-        if a[t][t] == 0:
-            break
-        diag.append(abs(a[t][t]))
-        t += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    return diag
+    size = min(len(m), len(m[0])) if m else 0
+    a = m
+    while any(x for i, row in enumerate(a)
+              for j, x in enumerate(row) if i != j):
+        a = list(zip(*_hnf_rows(a)))
+    # off the diagonal every entry is now 0
+    diag = [abs(x) for row in a for x in row if x]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (size - len(diag))
 
 
 def discriminant_group(l):
-    if discriminant(l) == 0:
-        raise ValueError("degenerate lattice has no discriminant group")
     diag = smith_normal_form(l.gram)
+    if 0 in diag:
+        raise ValueError("degenerate lattice has no discriminant group")
     return DiscriminantGroup([d for d in diag if d > 1])
 
 
@@ -416,33 +368,24 @@ def nikulin_count_check(l, v, p):
         if l.gram[i][i] != -2:
             raise ValueError("support curve %s is not a (-2)-curve"
                              % l.basis_names[i])
+    near = {i: [j for j in support if j != i and l.gram[i][j]]
+            for i in support}
     if p == 2:
+        # the first curve in basis order that meets another meets
+        # only later ones
         for i in support:
-            for j in support:
-                if i < j and l.gram[i][j]:
-                    raise ValueError(
-                        "support curves %s and %s meet" % (
-                            l.basis_names[i], l.basis_names[j]))
+            if near[i]:
+                raise ValueError(
+                    "support curves %s and %s meet" % (
+                        l.basis_names[i], l.basis_names[near[i][0]]))
         return len(support) in (8, 16)
-    pairs = []
-    unpaired = set(support)
     for i in support:
-        if i not in unpaired:
-            continue
-        mates = [j for j in support if j != i and l.gram[i][j]]
-        if len(mates) != 1 or mates[0] not in unpaired:
-            raise ValueError(
-                "support does not split into disjoint meeting pairs "
-                "(curve %s)" % l.basis_names[i])
-        j = mates[0]
-        back = [k for k in support if k != j and l.gram[j][k]]
-        if back != [i]:
-            raise ValueError(
-                "support does not split into disjoint meeting pairs "
-                "(curve %s)" % l.basis_names[j])
-        unpaired.discard(i)
-        unpaired.discard(j)
-        pairs.append((i, j))
+        for k in [i] + near[i][:1]:
+            if len(near[k]) != 1:
+                raise ValueError(
+                    "support does not split into disjoint meeting pairs "
+                    "(curve %s)" % l.basis_names[k])
+    pairs = [(i, near[i][0]) for i in support if i < near[i][0]]
     if len(pairs) != 6:
         return False
     return all(

@@ -6,9 +6,11 @@ need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
 inverses, normality, conjugation (by a rotation or by the
 factor-swapping reflection) and conjugacy classes.  The lattice oracles
 redo integer determinants and overlattice Gram matrices in Fraction
-arithmetic.
+arithmetic, and Smith forms from gcds of minors.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from k3pencils.algebra import (
@@ -126,6 +128,31 @@ def fraction_det(m):
     return int(det)
 
 
+def determinantal_divisors(m):
+    """Invariant factors s_k = d_k / d_(k-1) of an integer matrix.
+
+    d_k is the gcd of all k x k minors (d_0 = 1).  Once d_k is 0 every
+    later one is too; those factors are 0, so the list has length
+    min(rows, cols), like smith_normal_form.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    size = min(rows, cols)
+    out = []
+    prev = 1
+    for k in range(1, size + 1):
+        d = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                d = math.gcd(d, fraction_det([[m[i][j] for j in c]
+                                              for i in r]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out + [0] * (size - len(out))
+
+
 def fraction_overlattice_gram(gram, basis, p):
     """B G B^T / p^2 by dense products, as nested lists of Fractions."""
     n = len(gram)
@@ -168,7 +195,7 @@ def conjugate_group(g, c):
         gens = [swap(e) for e in g.generators]
     else:
         raise ValueError("conjugator must be a rotation Element or C_SWAP")
-    out = generate_group(g.name + "^c", gens, cap=2 * g.order())
+    out = generate_group(g.name + "^c", gens)
     assert out.order() == g.order()
     return out
 

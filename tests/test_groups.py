@@ -225,11 +225,6 @@ class TestGenerateGroup:
         g = generate_group("e", [])
         assert g.order() == 1
 
-    def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="too large or not finite"):
-            generate_group("VxV", [(Q1, QUAT_ONE), (QUAT_ONE, Q1),
-                                   (Q2, QUAT_ONE), (QUAT_ONE, Q2)], cap=4)
-
     def test_alternate_tetrahedral_generators(self):
         # <j, p3> and <i, p3> both give the binary tetrahedral group
         alt = generate_group("alt", [(Q2, QUAT_ONE), (QUAT_ONE, Q2),

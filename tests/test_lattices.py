@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from exact_oracles import fraction_det, fraction_overlattice_gram
+from exact_oracles import (
+    determinantal_divisors,
+    fraction_det,
+    fraction_overlattice_gram,
+)
 from k3pencils import data, lattices
 from k3pencils.config import parse_config
 from k3pencils.lattices import (
@@ -226,6 +230,11 @@ class TestSmithForm:
         assert discriminant_group(sum_of(*["A1"] * 8)) \
             == DiscriminantGroup([2] * 8)
         assert discriminant_group(ade_lattice("E8")).invariant_factors == ()
+        known = {"D5": [4], "D6": [2, 2], "D7": [4], "E6": [3], "E7": [2]}
+        known.update(("A%d" % n, [n + 1]) for n in range(1, 9))
+        for sym, factors in known.items():
+            assert discriminant_group(ade_lattice(sym)) \
+                == DiscriminantGroup(factors), sym
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -265,6 +274,53 @@ class TestSmithForm:
 
     def test_rectangular_input(self):
         assert smith_normal_form([[2, 4, 4], [-6, 6, 12]]) == [2, 6]
+
+    EDGE_CASES = (
+        [], [[]], [[], []], [[0]], [[0, 0, 0], [0, 0, 0]],
+        [[0, 0], [0, 0], [0, 0]], [[2, 0], [0, 6]], [[6, 0], [0, 4]],
+        [[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[0, 2], [0, 4], [0, 6]],
+        [[4, 6], [6, 9]], [[-3]],
+    )
+
+    @pytest.mark.parametrize("m", EDGE_CASES)
+    def test_edge_cases_match_minor_gcds(self, m):
+        assert smith_normal_form(m) == determinantal_divisors(m)
+
+    def test_random_matrices_match_minor_gcds(self):
+        # square and rectangular up to 4 x 5; every fourth has a row
+        # that is a multiple of another, every fifth a zero column
+        rng = random.Random(20261020)
+        for trial in range(200):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            m = [[rng.choice((0, rng.randint(-8, 8))) for _ in range(cols)]
+                 for _ in range(rows)]
+            if trial % 4 == 0 and rows > 1:
+                m[-1] = [rng.randint(-2, 2) * x for x in m[0]]
+            if trial % 5 == 0:
+                for row in m:
+                    row[rng.randrange(cols)] = 0
+            assert smith_normal_form(m) == determinantal_divisors(m), m
+
+    def test_unimodular_invariance(self):
+        # U G V for products U, V of elementary row and column
+        # operations on the shipped Grams
+        rng = random.Random(77)
+        for ctx, name, p, text in data.DIVISIBLE_CLASSES:
+            gram = gram_from_graph(parse_config(text).graph).gram
+            n = len(gram)
+            m = [list(row) for row in gram]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2)
+                q = rng.choice((-2, -1, 1, 2))
+                if rng.random() < 0.5:
+                    m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+                else:
+                    for row in m:
+                        row[i] += q * row[j]
+                if rng.random() < 0.2:
+                    m[i], m[j] = m[j], [-x for x in m[i]]
+            assert m != [list(row) for row in gram], ctx
+            assert smith_normal_form(m) == smith_normal_form(gram), ctx
 
 
 class TestDivisibility:
@@ -459,8 +515,9 @@ class TestLatticeRoundBudget:
             lat = gram_from_graph(cfg.graph)
             v = divisor_class(lat, cfg.classes[name])
             del calls[:]
-            d = discriminant(lat)
             discriminant_group(lat)
+            assert calls == [], (ctx, name)
+            d = discriminant(lat)
             big = adjoin_class(lat, v, p)
             assert discriminant(big) * p * p == d
             assert calls == [lat.rank, big.rank], (ctx, name)

@@ -2,13 +2,30 @@
 
 Gram matrices come from graphs of rational curves (self-intersection -2
 unless a cover changed it, edge multiplicity = intersection number).
-All arithmetic is exact: Bareiss elimination for determinants, integer
-Smith and Hermite normal forms for discriminant groups and overlattice
-gluing.
+All arithmetic is exact.  Unit and lone pivots split off first; then
+Bareiss elimination gives determinants, and integer Smith and Hermite
+normal forms discriminant groups and overlattice gluing.
 """
 
 import math
+import operator
 from collections import namedtuple
+
+
+def _integer(x, what):
+    """x as an int, or ValueError; int() would truncate 2.7 to 2."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("%s %r is not an integer" % (what, x)) from None
+
+
+def _integers(values, what):
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(_integer(x, what) for x in values)
 
 
 class CurveGraph:
@@ -21,7 +38,8 @@ class CurveGraph:
     def add_curve(self, name, self_intersection=-2):
         if name in self.curves:
             raise ValueError("curve %r declared twice" % (name,))
-        self.curves[name] = int(self_intersection)
+        self.curves[name] = _integer(self_intersection,
+                                      "self-intersection")
 
     def add_edge(self, a, b, mult=1):
         if a == b:
@@ -29,10 +47,11 @@ class CurveGraph:
         for name in (a, b):
             if name not in self.curves:
                 raise ValueError("unknown curve %r" % (name,))
+        mult = _integer(mult, "multiplicity")
         if mult < 1:
             raise ValueError("multiplicity must be positive")
         key = frozenset((a, b))
-        self.edges[key] = self.edges.get(key, 0) + int(mult)
+        self.edges[key] = self.edges.get(key, 0) + mult
 
     def names(self):
         return tuple(self.curves)
@@ -48,15 +67,12 @@ class IntegralLattice:
     __slots__ = ("gram", "basis_names", "_disc")
 
     def __init__(self, gram, basis_names=None):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple(_integers(row, "Gram entry") for row in gram)
         n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(len(row) != n for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if tuple(zip(*gram)) != gram:
+            raise ValueError("Gram matrix must be symmetric")
         if basis_names is None:
             basis_names = tuple("e%d" % (i + 1) for i in range(n))
         basis_names = tuple(basis_names)
@@ -96,7 +112,7 @@ class DivisorClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = _integers(coeffs, "class coefficient")
 
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):
@@ -135,10 +151,7 @@ class DiscriminantGroup:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     def p_rank(self, p):
         return sum(1 for d in self.invariant_factors if d % p == 0)
@@ -243,13 +256,8 @@ def ade_lattice(t):
 
 def direct_sum(a, b):
     n, m = a.rank, b.rank
-    gram = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            gram[i][j] = a.gram[i][j]
-    for i in range(m):
-        for j in range(m):
-            gram[n + i][n + j] = b.gram[i][j]
+    gram = ([list(row) + [0] * m for row in a.gram]
+            + [[0] * n + list(row) for row in b.gram])
     names = list(a.basis_names)
     seen = set(names)
     for name in b.basis_names:
@@ -284,13 +292,72 @@ def _det_bareiss(m):
     return sign * a[n - 1][n - 1]
 
 
+def _split_pivots(m):
+    """Split off the pivots of m that need no division: (sign, split, core).
+
+    A pivot x at (i, j) is a unit, the only entry of its column dividing
+    its row, or the only entry of its row dividing its column; shortest
+    columns go first, to limit fill-in.  Row operations by the exact
+    y // x clear column j, then row i and column j leave and x joins
+    split; sign collects (-1)^(i + j) over live positions.  For square
+    m, det m = sign * prod(split) * det core, and the Smith form of m
+    is that of split with core's (Dumas, Saunders and Villard, 2001).
+    """
+    rows = {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(m)}
+    cols = {j: set() for j in range(len(m[0]) if m else 0)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    sign, split = 1, []
+    while True:
+        best = i = None
+        for c, col in cols.items():
+            if best is None or len(col) < best:
+                for r in col:
+                    x = rows[r][c]
+                    if x in (1, -1) or len(col) == 1 and not any(
+                            y % x for y in rows[r].values()):
+                        best, i, j = len(col), r, c
+                        break
+        if i is None:
+            i, j = next(((r, c) for r, row in rows.items() if len(row) == 1
+                         for c, x in row.items()
+                         if not any(rows[k][c] % x for k in cols[c])),
+                        (None, None))
+            if i is None:
+                break
+        if (list(rows).index(i) + list(cols).index(j)) % 2:
+            sign = -sign
+        pivot = rows.pop(i)
+        x = pivot.pop(j)
+        for k in cols.pop(j) - {i}:
+            row = rows[k]
+            q = row.pop(j) // x
+            for l, y in pivot.items():
+                z = row.get(l, 0) - q * y
+                if z:
+                    row[l] = z
+                    cols[l].add(k)
+                else:
+                    del row[l]
+                    cols[l].discard(k)
+        for l in pivot:
+            cols[l].discard(i)
+        split.append(x)
+    return sign, split, [[row.get(j, 0) for j in cols]
+                         for row in rows.values()]
+
+
 def discriminant(l):
     """Signed determinant of the Gram matrix (1 for the empty lattice).
 
     Computed once per lattice object and kept in its _disc slot.
     """
     if l._disc is None:
-        object.__setattr__(l, "_disc", _det_bareiss(l.gram))
+        sign, split, core = _split_pivots(l.gram)
+        object.__setattr__(l, "_disc",
+                           sign * math.prod(split) * _det_bareiss(core))
     return l._disc
 
 
@@ -298,17 +365,18 @@ def smith_normal_form(m):
     """Diagonal of the Smith form of an integer matrix, as a list.
 
     Entries are nonnegative and each divides the next; zeros sort last.
-    Row Hermite forms of the matrix and of its transpose alternate
+    The pivots _split_pivots removes join the diagonal.  On its core,
+    row Hermite forms of the matrix and of its transpose alternate
     until no entry is off the diagonal (Kannan and Bachem, 1979); gcd
     and lcm swaps then turn the nonzero diagonal into a divisor chain.
     """
     size = min(len(m), len(m[0])) if m else 0
-    a = m
+    _, split, a = _split_pivots(m)
     while any(x for i, row in enumerate(a)
               for j, x in enumerate(row) if i != j):
         a = list(zip(*_hnf_rows(a)))
     # off the diagonal every entry is now 0
-    diag = [abs(x) for row in a for x in row if x]
+    diag = [abs(x) for x in split] + [abs(x) for row in a for x in row if x]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])
@@ -325,8 +393,11 @@ def discriminant_group(l):
 
 def _combine(terms, rows):
     """The sum of c * rows[k] over the (k, c) pairs of terms."""
-    out = [0] * len(rows)
-    for k, c in terms:
+    if not terms:
+        return [0] * len(rows)
+    (k, c), *rest = terms
+    out = [c * y for y in rows[k]]
+    for k, c in rest:
         out = [x + c * y for x, y in zip(out, rows[k])]
     return out
 
@@ -474,9 +545,7 @@ def adjoin_class(l, v, p):
 
 def index_formula_check(dW, dW2, ps):
     """d(W) = d(W') * (index)^2 with the index a product of primes."""
-    index = 1
-    for q in ps:
-        index *= q
+    index = math.prod(ps)
     return dW == dW2 * index * index
 
 

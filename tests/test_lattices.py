@@ -1,11 +1,13 @@
 """Gram constructors, SNF, divisibility criteria, overlattice gluing."""
 
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact_oracles import (
     determinantal_divisors,
@@ -81,6 +83,20 @@ class TestCurveGraph:
         with pytest.raises(ValueError, match="positive"):
             g.add_edge("A", "B", 0)
 
+    def test_non_integer_self_intersection(self):
+        g = CurveGraph()
+        with pytest.raises(ValueError, match="self-intersection -2.5 is not"):
+            g.add_curve("A", -2.5)
+        assert g.curves == {}
+
+    def test_non_integer_multiplicity(self):
+        g = CurveGraph()
+        g.add_curve("A")
+        g.add_curve("B")
+        with pytest.raises(ValueError, match="multiplicity 1.5 is not"):
+            g.add_edge("A", "B", 1.5)
+        assert g.edges == {}
+
     def test_gram_assembly(self):
         g = CurveGraph()
         g.add_curve("A")
@@ -99,6 +115,22 @@ class TestIntegralLattice:
             IntegralLattice([[0, 1], [2, 0]])
         with pytest.raises(ValueError, match="name"):
             IntegralLattice([[-2]], ["a", "b"])
+
+    def test_non_integer_gram_entry(self):
+        with pytest.raises(ValueError, match="Gram entry 1.5 is not"):
+            IntegralLattice([[1.5]])
+        with pytest.raises(ValueError, match="Gram entry '1' is not"):
+            IntegralLattice([[-2, 1], ["1", -2]])
+
+    def test_non_integer_class_coefficient(self):
+        with pytest.raises(ValueError, match="coefficient 2.7 is not"):
+            DivisorClass([2.7])
+        with pytest.raises(ValueError, match="coefficient 0.5 is not"):
+            DivisorClass(c / 2 for c in (1, 2))
+
+    def test_integer_types_are_kept(self):
+        assert IntegralLattice([[True]]).gram == ((1,),)
+        assert DivisorClass(c for c in (2, -1)).coeffs == (2, -1)
 
     def test_empty_lattice(self):
         l = IntegralLattice([])
@@ -134,6 +166,35 @@ def random_symmetric(rng, n, lo=-5, hi=5):
     return m
 
 
+NON_INTEGER_INPUTS = """
+from k3pencils import lattices as L
+g = L.CurveGraph()
+g.add_curve("A")
+g.add_curve("B")
+cases = (lambda: L.IntegralLattice([[1.5]]), lambda: L.DivisorClass([2.7]),
+         lambda: g.add_curve("C", -2.0), lambda: g.add_edge("A", "B", 1.5))
+print(__debug__)
+for case in cases:
+    try:
+        case()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_non_integer_inputs_rejected_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", NON_INTEGER_INPUTS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "Gram entry 1.5 is not an integer",
+        "class coefficient 2.7 is not an integer",
+        "self-intersection -2.0 is not an integer",
+        "multiplicity 1.5 is not an integer",
+    ]
+
+
 class TestDeterminant:
     # zero pivots: leading, after one elimination step, a zero first
     # column; and a singular matrix with no zero entry
@@ -167,6 +228,109 @@ class TestDeterminant:
             want = fraction_det(m)
             assert discriminant(IntegralLattice(m)) == want, m
             assert want == 0 or not singular
+
+
+def curve_like(rng, n):
+    """A -2 diagonal with unit edges; one graph in three is disjoint A1
+    blocks plus a cycle, whose Gram is singular (affine A_k)."""
+    m = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    if rng.random() < 1 / 3 and n >= 3:
+        k = rng.randint(3, n)
+        for i in range(k):
+            m[i][(i + 1) % k] = m[(i + 1) % k][i] = 1
+        return m
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        m[i][j] = m[j][i] = rng.choice((1, 1, 1, 2))
+    return m
+
+
+def qualifies(core, i, j):
+    """Whether core[i][j] is a pivot _split_pivots would remove."""
+    x = core[i][j]
+    row = [y for y in core[i] if y]
+    col = [r[j] for r in core if r[j]]
+    return x != 0 and (abs(x) == 1
+                       or len(row) == 1 and all(y % x == 0 for y in col)
+                       or len(col) == 1 and all(y % x == 0 for y in row))
+
+
+class TestSplitPivots:
+    def check(self, m):
+        sign, split, core = lattices._split_pivots(m)
+        assert sign in (1, -1)
+        assert len(split) + len(core) == len(m)
+        assert sign * math.prod(split) * fraction_det(core) \
+            == fraction_det(m), m
+        assert not any(qualifies(core, i, j) for i in range(len(core))
+                       for j in range(len(core))), (m, core)
+
+    def test_matches_fraction_det(self):
+        # dense in [-3, 3], curve-like Grams, and matrices whose
+        # entries are all 0 or of absolute value at least 2
+        rng = random.Random(20261021)
+        for trial in range(300):
+            n = rng.randint(0, 10)
+            if trial % 3 == 0:
+                m = [[rng.randint(-3, 3) for _ in range(n)]
+                     for _ in range(n)]
+            elif trial % 3 == 1:
+                m = curve_like(rng, n)
+            else:
+                m = [[rng.choice((0, 0, 2, -2, 3, 4, -6)) for _ in range(n)]
+                     for _ in range(n)]
+            self.check(m)
+
+    def test_signed_permutations(self):
+        # every entry is a unit, so only the cofactor signs decide
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for _ in range(10):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m = [[rng.choice((1, -1)) * (j == perm[i]) for j in range(n)]
+                     for i in range(n)]
+                sign, split, core = lattices._split_pivots(m)
+                assert core == [] and len(split) == n
+                assert sign * math.prod(split) == fraction_det(m), m
+
+    def test_smith_form_of_rectangular_matrices(self):
+        # up to 4 x 6 with units and a row holding one entry
+        rng = random.Random(31)
+        for trial in range(150):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+            m = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(cols)]
+                 for _ in range(rows)]
+            if trial % 2:
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                m[i] = [rng.choice((2, 3, -4)) * (k == j)
+                        for k in range(cols)]
+            assert smith_normal_form(m) == determinantal_divisors(m), m
+
+
+square_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-4, 4), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=150)
+
+
+class TestProperties:
+    @deterministic
+    @given(square_matrices)
+    def test_discriminant_is_the_determinant(self, m):
+        sym = [[m[min(i, j)][max(i, j)] for j in range(len(m))]
+               for i in range(len(m))]
+        assert discriminant(IntegralLattice(sym)) == fraction_det(sym)
+
+    @deterministic
+    @given(matrices)
+    def test_smith_form_is_the_minor_gcd_chain(self, m):
+        assert smith_normal_form(m) == determinantal_divisors(m)
 
 
 DETS = {
@@ -502,6 +666,9 @@ class TestOverlatticeGram:
 
 class TestLatticeRoundBudget:
     def test_one_determinant_per_lattice(self, monkeypatch):
+        # Bareiss runs once per lattice, on the core _split_pivots
+        # leaves: empty for a shipped curve lattice, a part of the
+        # overlattice
         calls = []
         bareiss = lattices._det_bareiss
 
@@ -520,7 +687,8 @@ class TestLatticeRoundBudget:
             d = discriminant(lat)
             big = adjoin_class(lat, v, p)
             assert discriminant(big) * p * p == d
-            assert calls == [lat.rank, big.rank], (ctx, name)
+            assert len(calls) == 2, (ctx, name)
+            assert calls[0] == 0 and calls[1] < big.rank, (ctx, name)
 
 
 # sabotaged Hermite bases that each break one adjoin_class check

@@ -2,9 +2,9 @@
 
 Gram matrices come from graphs of rational curves (self-intersection -2
 unless a cover changed it, edge multiplicity = intersection number).
-All arithmetic is exact.  Unit and lone pivots split off first; then
-Bareiss elimination gives determinants, and integer Smith and Hermite
-normal forms discriminant groups and overlattice gluing.
+All arithmetic is exact.  Unit and lone pivots split off first, once
+per lattice; Bareiss elimination and Hermite forms of the rest give
+determinants and Smith forms.  Gluing v/p changes one row and column.
 """
 
 import math
@@ -60,11 +60,11 @@ class CurveGraph:
 class IntegralLattice:
     """A symmetric integer Gram matrix with named basis vectors.
 
-    Immutable once built: discriminant() fills the _disc slot on first
-    use, and that single write is the only one allowed after __init__.
+    Immutable once built: the _reduced (pivot split) and _disc slots
+    are filled on first use, the only writes allowed after __init__.
     """
 
-    __slots__ = ("gram", "basis_names", "_disc")
+    __slots__ = ("gram", "basis_names", "_reduced", "_disc")
 
     def __init__(self, gram, basis_names=None):
         gram = tuple(_integers(row, "Gram entry") for row in gram)
@@ -80,6 +80,7 @@ class IntegralLattice:
             raise ValueError("need one name per basis vector")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "_reduced", None)
         object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, name, value):
@@ -140,7 +141,7 @@ class DiscriminantGroup:
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = _integers(invariant_factors, "invariant factor")
         for d in factors:
             if d <= 1:
                 raise ValueError("invariant factors must exceed 1")
@@ -193,6 +194,7 @@ class ADEType(namedtuple("ADEType", "kind index")):
     __slots__ = ()
 
     def __new__(cls, kind, index):
+        index = _integer(index, "Dynkin index")
         if kind == "A":
             if index < 1:
                 raise ValueError("A_n needs n >= 1")
@@ -204,7 +206,7 @@ class ADEType(namedtuple("ADEType", "kind index")):
                 raise ValueError("E_n needs n in {6, 7, 8}")
         else:
             raise ValueError("unknown Dynkin kind %r" % (kind,))
-        return super().__new__(cls, kind, int(index))
+        return super().__new__(cls, kind, index)
 
     @classmethod
     def parse(cls, text):
@@ -349,13 +351,20 @@ def _split_pivots(m):
                          for row in rows.values()]
 
 
+def _reduction(l):
+    """_split_pivots of l's Gram, run once per lattice object."""
+    if l._reduced is None:
+        object.__setattr__(l, "_reduced", _split_pivots(l.gram))
+    return l._reduced
+
+
 def discriminant(l):
     """Signed determinant of the Gram matrix (1 for the empty lattice).
 
     Computed once per lattice object and kept in its _disc slot.
     """
     if l._disc is None:
-        sign, split, core = _split_pivots(l.gram)
+        sign, split, core = _reduction(l)
         object.__setattr__(l, "_disc",
                            sign * math.prod(split) * _det_bareiss(core))
     return l._disc
@@ -364,14 +373,17 @@ def discriminant(l):
 def smith_normal_form(m):
     """Diagonal of the Smith form of an integer matrix, as a list.
 
+    m may be an IntegralLattice, whose kept pivot split is reused.
     Entries are nonnegative and each divides the next; zeros sort last.
     The pivots _split_pivots removes join the diagonal.  On its core,
     row Hermite forms of the matrix and of its transpose alternate
     until no entry is off the diagonal (Kannan and Bachem, 1979); gcd
     and lcm swaps then turn the nonzero diagonal into a divisor chain.
     """
+    _, split, a = (_reduction(m) if isinstance(m, IntegralLattice)
+                   else _split_pivots(m))
+    m = getattr(m, "gram", m)
     size = min(len(m), len(m[0])) if m else 0
-    _, split, a = _split_pivots(m)
     while any(x for i, row in enumerate(a)
               for j, x in enumerate(row) if i != j):
         a = list(zip(*_hnf_rows(a)))
@@ -385,7 +397,7 @@ def smith_normal_form(m):
 
 
 def discriminant_group(l):
-    diag = smith_normal_form(l.gram)
+    diag = smith_normal_form(l)
     if 0 in diag:
         raise ValueError("degenerate lattice has no discriminant group")
     return DiscriminantGroup([d for d in diag if d > 1])
@@ -496,17 +508,29 @@ def _hnf_rows(rows):
     return a[:r]
 
 
+def _glue_vector(v, p):
+    """(k, w): the first k with v_k prime to p, and w = v / v_k mod p.
+
+    w_k = 1, so the rows p e_i (i != k) and w are a basis B of p Z^n + Z v.
+    """
+    k = next(i for i, c in enumerate(v.coeffs) if math.gcd(c, p) == 1)
+    u = pow(v.coeffs[k], -1, p)
+    return k, [u * c % p for c in v.coeffs]
+
+
 def adjoin_class(l, v, p):
     """The overlattice generated by l and v/p.
 
-    Computes a Hermite basis of the lattice spanned by the old basis
-    and v/p, and the Gram matrix in that basis.  Divides the
-    discriminant by exactly p^2 and keeps the lattice even.  Raises
-    ValueError unless v is p-divisible and of order p modulo p l (the
-    gcd of p and the coefficients of v is 1).
+    Its basis is B/p for B from _glue_vector, so its Gram matrix is G
+    with row and column k set to G w / p and corner w G w / p^2.
+    Divides the discriminant by exactly p^2 and keeps the lattice even.
+    Raises ValueError for a degenerate l, and unless v is p-divisible
+    and of order p modulo p l (gcd of p and v's coefficients is 1).
     """
     if p == 1:
         return l
+    if discriminant(l) == 0:
+        raise ValueError("degenerate lattice: cannot adjoin class/%d" % p)
     if not is_p_divisible(l, v, p):
         raise ValueError("class is not %d-divisible on this lattice" % p)
     g = math.gcd(p, *v.coeffs)
@@ -515,30 +539,21 @@ def adjoin_class(l, v, p):
         # the discriminant drops by (p/g)^2, not p^2
         raise ValueError("class/%d adds index %d, not %d: %d divides %d "
                          "and every coefficient" % (p, p // g, p, g, p))
-    n = l.rank
-    stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    stacked.append(list(v.coeffs))
-    basis = _hnf_rows(stacked)
-    if len(basis) != n:
-        raise ArithmeticError("overlattice basis has rank %d, not %d"
-                              % (len(basis), n))
-    # new basis vectors are rows/p; Gram' = B G B^T / p^2.  Hermite
-    # rows are mostly p * e_i, so both products sum rows over the
-    # nonzero entries of a basis row: B G from rows of G, then row j
-    # of Gram' from columns of B G (Gram' is symmetric)
-    support = [[(k, c) for k, c in enumerate(row) if c] for row in basis]
-    bg_cols = list(zip(*[_combine(terms, l.gram) for terms in support]))
-    pp = p * p
-    gram = []
-    for terms in support:
-        line = _combine(terms, bg_cols)
-        if any(x % pp for x in line):
-            raise ArithmeticError("overlattice Gram not integral")
-        gram.append([x // pp for x in line])
+    k, w = _glue_vector(v, p)
+    if w[k] != 1:
+        raise ArithmeticError("glue vector has %d, not 1, at %d" % (w[k], k))
+    gw = _combine([(j, c) for j, c in enumerate(w) if c], l.gram)
+    corner = sum(c * x for c, x in zip(w, gw))
+    if corner % (p * p) or any(x % p for x in gw):
+        raise ArithmeticError("overlattice Gram not integral")
+    col = [x // p for x in gw]
+    col[k] = corner // (p * p)
+    gram = [row[:k] + (x,) + row[k + 1:] for row, x in zip(l.gram, col)]
+    gram[k] = col
     out = IntegralLattice(gram)
     if not out.is_even():
         raise ArithmeticError("overlattice not even")
-    if discriminant(out) * pp != discriminant(l):
+    if discriminant(out) * p * p != discriminant(l):
         raise ArithmeticError("overlattice discriminant is not d(l)/p^2")
     return out
 

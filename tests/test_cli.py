@@ -178,6 +178,16 @@ class TestLattice:
         assert captured.err == ("error: class/2 adds index 1, not 2: "
                                 "2 divides 2 and every coefficient\n")
 
+    def test_adjoin_on_degenerate_lattice_exits_2(self, tmp_path, capsys):
+        # disc 0 * 2^2 = 0: the discriminant check alone would pass
+        path = tmp_path / "flat.cfg"
+        path.write_text("curve A self=0\ncurve B self=0\nclass V = +A +B\n")
+        assert main(["lattice", "adjoin", str(path), "-p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: degenerate lattice: cannot adjoin "
+                                "class/2\n")
+
     def test_missing_class(self, tmp_path, capsys):
         path = tmp_path / "bare.cfg"
         path.write_text("curve A\ncurve B\nedge A B\n")

@@ -128,6 +128,10 @@ class TestIntegralLattice:
         with pytest.raises(ValueError, match="coefficient 0.5 is not"):
             DivisorClass(c / 2 for c in (1, 2))
 
+    def test_non_integer_invariant_factor(self):
+        with pytest.raises(ValueError, match="factor 2.5 is not"):
+            DiscriminantGroup([2.5, 4.9])
+
     def test_integer_types_are_kept(self):
         assert IntegralLattice([[True]]).gram == ((1,),)
         assert DivisorClass(c for c in (2, -1)).coeffs == (2, -1)
@@ -144,7 +148,7 @@ class TestIntegralLattice:
     def test_attributes_cannot_be_reassigned(self):
         l = ade_lattice("A2")
         writes = (("gram", ((-2, 1), (1, -4))), ("basis_names", ("x", "y")),
-                  ("_disc", 7))
+                  ("_reduced", (1, [], [])), ("_disc", 7))
         for filled in (False, True):
             for name, value in writes:
                 with pytest.raises(AttributeError):
@@ -347,6 +351,10 @@ class TestADEConstructors:
 
     def test_accepts_type_objects(self):
         assert discriminant(ade_lattice(ADEType("A", 2))) == 3
+
+    def test_non_integer_index(self):
+        with pytest.raises(ValueError, match="Dynkin index 2.5 is not"):
+            ADEType("A", 2.5)
 
     def test_an_formula(self):
         for n in range(1, 9):
@@ -572,6 +580,14 @@ class TestAdjoinClass:
         with pytest.raises(ValueError, match="divisible"):
             adjoin_class(l, DivisorClass([1]), 2)
 
+    def test_rejects_degenerate_lattice(self):
+        # disc 0 would pass the d(out) * p^2 = d(l) check vacuously
+        l = IntegralLattice([[0, 0], [0, 0]])
+        v = DivisorClass([1, 1])
+        assert is_p_divisible(l, v, 2)
+        with pytest.raises(ValueError, match="degenerate lattice"):
+            adjoin_class(l, v, 2)
+
     def test_rejects_class_of_order_below_p(self):
         # both pass is_p_divisible, but v/p adds index p/gcd(p, v) < p
         for l, v, p in [(ade_lattice("A1"), DivisorClass([2]), 2),
@@ -610,19 +626,38 @@ class TestAdjoinClass:
         assert out.is_even()
 
 
+# p-divisible classes on ADE sums, for p = 2, 3, 4
+GLUE_BASES = [(["A1"] * 8, [1] * 8, 2), (["A2"] * 6, [1, -1] * 6, 3),
+              (["A1"] * 4, [1] * 4, 2),
+              (["A3", "A3", "A3", "A1", "A3", "A1"],
+               [1, 2, 3, 1, 2, 3, 3, 2, 1, 2, 3, 2, 1, 2], 4)]
+ADE_POOL = ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"]
+
+
+def glue_basis(v, p):
+    """The basis B of p Z^n + Z v that adjoin_class documents."""
+    k, w = lattices._glue_vector(v, p)
+    n = len(w)
+    return k, [w if i == k else [p * (i == j) for j in range(n)]
+               for i in range(n)]
+
+
 def check_overlattice(l, v, p):
     """adjoin_class against B G B^T / p^2 in Fractions.
 
-    B is the Hermite basis adjoin_class uses; it must span exactly
-    p Z^n + Z v: every row lies there and |det B| is that index.
+    B is the glue basis adjoin_class uses; it must span exactly
+    p Z^n + Z v: every row lies there, v lies in its span, and |det B|
+    is the index of p Z^n + Z v.
     """
     out = adjoin_class(l, v, p)
     n = l.rank
-    stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    basis = lattices._hnf_rows(stacked + [list(v.coeffs)])
+    k, basis = glue_basis(v, p)
     for row in basis:
         assert any(all((r - t * c) % p == 0 for r, c in zip(row, v.coeffs))
                    for t in range(p)), row
+    # v = v_k * w + p * z, and p Z^n is spanned by the p e_i and p w
+    assert all((c - v.coeffs[k] * x) % p == 0
+               for c, x in zip(v.coeffs, basis[k]))
     # adjoin_class accepts only v of order p modulo p Z^n
     assert abs(fraction_det(basis)) == p ** (n - 1)
     assert [list(r) for r in out.gram] \
@@ -642,15 +677,10 @@ class TestOverlatticeGram:
     def test_divisible_classes_on_random_ade_sums(self):
         # a known divisible class, summed with a random ADE lattice and
         # shifted by p * w; both keep v/p integral and even
-        bases = [(["A1"] * 8, [1] * 8, 2), (["A2"] * 6, [1, -1] * 6, 3),
-                 (["A1"] * 4, [1] * 4, 2),
-                 (["A3", "A3", "A3", "A1", "A3", "A1"],
-                  [1, 2, 3, 1, 2, 3, 3, 2, 1, 2, 3, 2, 1, 2], 4)]
-        pool = ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"]
         rng = random.Random(4242)
         for trial in range(24):
-            symbols, coeffs, p = bases[trial % len(bases)]
-            extra = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            symbols, coeffs, p = GLUE_BASES[trial % len(GLUE_BASES)]
+            extra = [rng.choice(ADE_POOL) for _ in range(rng.randint(1, 3))]
             if trial % 2:
                 l = sum_of(*(symbols + extra))
                 coeffs = coeffs + [0] * (l.rank - len(coeffs))
@@ -662,6 +692,37 @@ class TestOverlatticeGram:
             out = check_overlattice(l, v, p)
             assert discriminant(out) * p * p == discriminant(l)
             assert out.is_even()
+
+    def test_glue_row_that_is_not_the_hermite_row(self):
+        # v_1..v_4 = 2 (mod 4) come before the first unit: the Hermite
+        # basis leads with v and has a row 2 e_5 + ..., the glue basis
+        # keeps 4 e_1 and puts w = v at row 5
+        l = sum_of(*["A1"] * 4, "A3", "A3", "A3", "A1", "A3", "A1")
+        v = DivisorClass([2, 2, 2, 2, 1, 2, 3, 1, 2, 3, 3, 2, 1, 2, 3, 2,
+                          1, 2])
+        k, basis = glue_basis(v, 4)
+        n = l.rank
+        stacked = [[4 * (i == j) for j in range(n)] for i in range(n)]
+        hermite = lattices._hnf_rows(stacked + [list(v.coeffs)])
+        assert k == 4 and basis != hermite
+        out = check_overlattice(l, v, 4)
+        assert (discriminant(l), discriminant(out)) == (16384, 1024)
+
+    @deterministic
+    @given(st.data())
+    def test_divisible_classes_shifted_by_p(self, data):
+        symbols, coeffs, p = data.draw(st.sampled_from(GLUE_BASES))
+        extra = data.draw(st.lists(st.sampled_from(ADE_POOL), max_size=3))
+        cut = data.draw(st.integers(0, len(extra)))
+        l = sum_of(*(extra[:cut] + symbols + extra[cut:]))
+        before = sum(ADEType.parse(s).rank for s in extra[:cut])
+        base = [0] * before + coeffs + [0] * (l.rank - before - len(coeffs))
+        z = data.draw(st.lists(st.integers(-2, 2), min_size=l.rank,
+                               max_size=l.rank))
+        v = DivisorClass([c + p * t for c, t in zip(base, z)])
+        assert is_p_divisible(l, v, p)
+        out = check_overlattice(l, v, p)
+        assert discriminant(out) * p * p == discriminant(l)
 
 
 class TestLatticeRoundBudget:
@@ -690,23 +751,52 @@ class TestLatticeRoundBudget:
             assert len(calls) == 2, (ctx, name)
             assert calls[0] == 0 and calls[1] < big.rank, (ctx, name)
 
+    def test_one_pivot_split_per_lattice(self, monkeypatch):
+        # discriminant and discriminant_group share the split of each
+        # lattice object, and adjoin_class runs no Hermite form: 2
+        # splits per benchmark op, one for l and one for its overlattice
+        splits, hermite = [], []
+        split_pivots, hnf_rows = lattices._split_pivots, lattices._hnf_rows
+        monkeypatch.setattr(lattices, "_split_pivots",
+                            lambda m: splits.append(len(m)) or split_pivots(m))
+        monkeypatch.setattr(lattices, "_hnf_rows",
+                            lambda m: hermite.append(len(m)) or hnf_rows(m))
+        for ctx, name, p, text in data.DIVISIBLE_CLASSES:
+            cfg = parse_config(text)
+            lat = gram_from_graph(cfg.graph)
+            v = divisor_class(lat, cfg.classes[name])
+            del splits[:]
+            discriminant(lat)
+            discriminant_group(lat)
+            del hermite[:]
+            big = adjoin_class(lat, v, p)
+            assert hermite == [], (ctx, name)
+            discriminant(big)
+            discriminant_group(big)
+            assert splits == [lat.rank, big.rank], (ctx, name)
 
-# sabotaged Hermite bases that each break one adjoin_class check
+
+# sabotaged glue vectors, and a wrong G w, that each break one
+# adjoin_class check; w_k = 1 alone fixes the discriminant of B G B^T
 OPTIMIZED_ADJOIN = """
 from k3pencils import lattices as L
 four = L.IntegralLattice([[-2 * (i == j) for j in range(4)]
                           for i in range(4)])
-cases = (lambda rows: rows[1:4],
-         lambda rows: [[1, 0, 0, 0]] + rows[1:4],
-         lambda rows: [[1, 1, 0, 0]] + rows[1:4],
-         lambda rows: rows[:4])
+combine = L._combine
+cases = (("_glue_vector", lambda v, p: (0, [2, 1, 1, 1])),
+         ("_glue_vector", lambda v, p: (0, [1, 0, 0, 0])),
+         ("_glue_vector", lambda v, p: (0, [1, 1, 0, 0])),
+         ("_combine", lambda terms, rows: [2 * x for x in
+                                           combine(terms, rows)]))
 print(__debug__)
-for sabotage in cases:
-    L._hnf_rows = sabotage
+for name, sabotage in cases:
+    kept = getattr(L, name)
+    setattr(L, name, sabotage)
     try:
         L.adjoin_class(four, L.DivisorClass([1, 1, 1, 1]), 2)
     except ArithmeticError as exc:
         print(exc)
+    setattr(L, name, kept)
 """
 
 
@@ -716,7 +806,7 @@ def test_adjoin_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "False",
-        "overlattice basis has rank 3, not 4",
+        "glue vector has 2, not 1, at 0",
         "overlattice Gram not integral",
         "overlattice not even",
         "overlattice discriminant is not d(l)/p^2",

@@ -10,7 +10,7 @@ import sys
 from .config import ConfigError, parse_config
 from .geometry import fixlines_table, offquadric_rows, orbits_on_ruling, \
     quadric_point_rows
-from .groups import GROUP_LABELS, group
+from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, group
 from .lattices import (
     adjoin_class,
     discriminant,
@@ -29,10 +29,12 @@ def _fail(msg):
     return 2
 
 
-def _check_label(label):
+def _check_label(label, pencil_only=None):
     if label not in GROUP_LABELS:
         raise ConfigError("unknown group %r (choose from %s)"
                           % (label, ", ".join(GROUP_LABELS)))
+    if pencil_only and AMBIENT[DEFAULT_DEGREE[label]] == label:
+        raise ConfigError("%s exist for the six pencil groups" % pencil_only)
 
 
 def cmd_groups(args):
@@ -55,9 +57,7 @@ def cmd_orbits(args):
 
 
 def cmd_fixlines(args):
-    _check_label(args.group)
-    if args.group == "OxO":
-        return _fail("fix-line tables exist for the six pencil groups")
+    _check_label(args.group, "fix-line tables")
     print("type  o(L)  |F|  length  |H|/|F|")
     for row in fixlines_table(args.group):
         print("%-4s  %4d  %3d  %6d  %7d" % (
@@ -66,9 +66,7 @@ def cmd_fixlines(args):
 
 
 def cmd_sing(args):
-    _check_label(args.group)
-    if args.group == "OxO":
-        return _fail("singular loci exist for the six pencil groups")
+    _check_label(args.group, "singular loci")
     print("# points on the quadric")
     for row in quadric_point_rows(args.group):
         print("Z%dxZ%d  length %d  orbits %d" % (
@@ -87,9 +85,7 @@ def cmd_sing(args):
 
 
 def cmd_nu(args):
-    _check_label(args.group)
-    if args.group == "OxO":
-        return _fail("curve counts exist for the six pencil groups")
+    _check_label(args.group, "curve counts")
     if args.fiber == "smooth":
         fibers = ["smooth", 1, 2, 3, 4]
     else:

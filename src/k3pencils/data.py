@@ -179,7 +179,7 @@ NODES = {
 }
 
 # sec6.nu, smooth members: label -> (nu1, nu2, nu3, nu)
-# ("-" cells are zero) plus the printed lattice discriminant
+# ("-" cells are zero); SMOOTH_DISC holds their printed discriminants
 SMOOTH_NU = {
     "TxV": (4, 12, 3, 19),
     "TT1": (2, 0, 15, 17),
@@ -317,11 +317,8 @@ class W = +R1 +R2 +R2 +R3 +R3 +R3 +R1' +R2' +R2' +R3' +R3' +R3' \
 +M1 +M1 +M1 +N1 +N1 +M2 +C1 +C1 +M3 +M3 +M3 +N3 +N3 +M4 +C2 +C2
 """
 
-# sec7.divisible: (surface context, class name, p, config text).
-# Each class is divisible by p on the block lattice of its support;
-# Y_TT / Y_OO are the smooth ambient-quotient surfaces, T_*/O_* the
-# covering pencils, O_Lbar the second-stage covering, @d,k a special
-# member.
+# sec7.divisible: (groups.surface context, class name, p, config text).
+# Each class is divisible by p on the block lattice of its support.
 DIVISIBLE_CLASSES = (
     ("Y_TT", "L", 3, _pairs_config(
         [("L1", "L2"), ("L4", "L5"), ("N1", "N2"), ("N3", "N4"),
@@ -380,23 +377,23 @@ DIVISIBLE_CLASSES = (
         ["N1", "C1", "N4", "N5", "C2", "N8", "M1", "M2"], "kappa")),
 )
 
-# sec8.discs: (context, full lattice disc, disc after adjoining, index
-# chain).  disc(before) = disc(after) * (prod ps)^2 in every row.
+# sec8.discs: (context, disc after adjoining, index chain); d(W), the
+# context's SMOOTH_/SINGULAR_DISC, is disc(after) * (prod ps)^2 here.
 DISC_DROPS = (
-    ("T_L", 2**5 * 3**3 * 5, 2 * 3 * 5, (3, 2, 2)),
-    ("O_L", 2**5 * 3**3 * 7, 2**3 * 3 * 7, (2, 3)),
-    ("T_L@6,1", -(2**4) * 3**3 * 5, -3 * 5, (3, 2, 2)),
-    ("T_L@6,2", -(2**6) * 3**3 * 5, -(2**2) * 3 * 5, (3, 2, 2)),
-    ("T_L@6,3", -(2**6) * 3**3 * 5, -(2**2) * 3 * 5, (3, 2, 2)),
-    ("T_L@6,4", -(2**4) * 3**3 * 5, -3 * 5, (3, 2, 2)),
-    ("T_M@6,1", -(3**3) * 5, -3 * 5, (3,)),
-    ("T_M@6,2", -(2**6) * 3**3 * 5, -(2**2) * 3 * 5, (3, 2, 2)),
-    ("O_L@8,1", -(2**4) * 3**2 * 7, -(2**2) * 7, (2, 3)),
-    ("O_L@8,4", -(2**6) * 3**2 * 7, -(2**2) * 7, (2, 3, 2)),
-    ("O_M@8,1", -(2**4) * 7, -(2**2) * 7, (2,)),
-    ("O_M@8,4", -(2**8) * 7, -(2**4) * 7, (4,)),
-    ("O_Lbar@8,1", -(3**4) * 7, -7, (3, 3)),
-    ("O_Lbar@8,4", -(2**4) * 3**4 * 7, -(2**2) * 7, (3, 3, 2)),
+    ("T_L", 2 * 3 * 5, (3, 2, 2)),
+    ("O_L", 2**3 * 3 * 7, (2, 3)),
+    ("T_L@6,1", -3 * 5, (3, 2, 2)),
+    ("T_L@6,2", -(2**2) * 3 * 5, (3, 2, 2)),
+    ("T_L@6,3", -(2**2) * 3 * 5, (3, 2, 2)),
+    ("T_L@6,4", -3 * 5, (3, 2, 2)),
+    ("T_M@6,1", -3 * 5, (3,)),
+    ("T_M@6,2", -(2**2) * 3 * 5, (3, 2, 2)),
+    ("O_L@8,1", -(2**2) * 7, (2, 3)),
+    ("O_L@8,4", -(2**2) * 7, (2, 3, 2)),
+    ("O_M@8,1", -(2**2) * 7, (2,)),
+    ("O_M@8,4", -(2**4) * 7, (4,)),
+    ("O_Lbar@8,1", -7, (3, 3)),
+    ("O_Lbar@8,4", -(2**2) * 7, (3, 3, 2)),
 )
 
 # component discriminants quoted in the covering propositions, each the
@@ -412,19 +409,13 @@ COMPONENT_DISCS = (
     ("4A2", 3**4),
 )
 
-# per-surface factor tables: context -> ((component label, disc), ...,
-# total).  The blocks multiply to the printed total in every row.
+# per-surface factor tables: context -> ((component label, disc), ...).
+# The blocks multiply to the context's SMOOTH_DISC in every row.
 COMPONENT_TABLES = (
-    ("T_L", (("L", -(2**2) * 3**3 * 5), ("M", -(2**3))),
-     2**5 * 3**3 * 5),
-    ("T_M", (("L", -5), ("M", -(2**3)), ("N", 3**6)),
-     2**3 * 3**6 * 5),
-    ("O_L", (("L", -(2**2) * 3 * 7), ("M", 2**2), ("N", 3**2), ("R", -2)),
-     2**5 * 3**3 * 7),
-    ("O_M", (("L", -7), ("M", 2**4), ("N", 3**2), ("R", 2**4)),
-     -(2**8) * 3**2 * 7),
-    ("T_Lbar", (("L", -(2**4) * 5), ("M", -(2**9))),
-     2**13 * 5),
-    ("O_Lbar", (("L", -(3**2) * 7), ("M", 2**2), ("N", 3**4)),
-     -(2**2) * 3**6 * 7),
+    ("T_L", (("L", -(2**2) * 3**3 * 5), ("M", -(2**3)))),
+    ("T_M", (("L", -5), ("M", -(2**3)), ("N", 3**6))),
+    ("O_L", (("L", -(2**2) * 3 * 7), ("M", 2**2), ("N", 3**2), ("R", -2))),
+    ("O_M", (("L", -7), ("M", 2**4), ("N", 3**2), ("R", 2**4))),
+    ("T_Lbar", (("L", -(2**4) * 5), ("M", -(2**9)))),
+    ("O_Lbar", (("L", -(3**2) * 7), ("M", 2**2), ("N", 3**4))),
 )

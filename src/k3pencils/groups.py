@@ -323,14 +323,30 @@ _GENERATOR_PAIRS = {
             (P4, QUAT_ONE), (QUAT_ONE, P4)],
 }
 
-GROUP_LABELS = ("TxV", "TT1", "VxV", "OxT", "OO2", "TxT", "OxO")
+GROUP_LABELS = tuple(_GENERATOR_PAIRS)
 
-# the ambient group of each pencil degree, and the degree of the pencil
-# each group covers; TxT plays both roles: quotient at degree 8,
-# ambient at degree 6
+# the ambient group of each pencil degree, and each surface context of
+# the printed tables as (group, degree): that pencil modulo that group
 AMBIENT = {6: "TxT", 8: "OxO"}
-DEFAULT_DEGREE = {"TxV": 6, "TT1": 6, "VxV": 6,
-                  "OxT": 8, "OO2": 8, "TxT": 8, "OxO": 8}
+SURFACES = {"T_L": ("TxV", 6), "T_M": ("TT1", 6), "T_Lbar": ("VxV", 6),
+            "O_L": ("OxT", 8), "O_M": ("OO2", 8), "O_Lbar": ("TxT", 8),
+            "Y_TT": (AMBIENT[6], 6), "Y_OO": (AMBIENT[8], 8)}
+
+# the degree each group covers: a pencil group's, else its ambient one
+DEFAULT_DEGREE = {g: d for d, g in AMBIENT.items()} | {
+    g: d for g, d in SURFACES.values() if g != AMBIENT[d]}
+
+Surface = namedtuple("Surface", "label degree fiber")
+
+
+def surface(context):
+    """Surface of a context "O_L" (fiber None) or "O_L@8,4" (fiber 4)."""
+    name, at, member = context.partition("@")
+    label, degree = SURFACES.get(name, (None, None))
+    fiber = {f"{degree},{k}": k for k in (1, 2, 3, 4)}.get(member)
+    if label is None or at and fiber is None:
+        raise ValueError(f"unknown surface {context!r}")
+    return Surface(label, degree, fiber)
 
 
 @cache

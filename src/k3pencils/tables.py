@@ -12,6 +12,7 @@ triples.  run_verification stamps a status on every triple:
 Reports are deterministic: builders iterate fixed tuples, never sets.
 """
 
+from math import prod
 from typing import NamedTuple
 
 from . import data
@@ -31,6 +32,7 @@ from .groups import (
     index,
     is_subgroup,
     pgroup,
+    surface,
 )
 from .lattices import (
     ADEType,
@@ -259,18 +261,20 @@ def _ade_sum(text):
     return lat
 
 
+def _printed_disc(context):
+    label, _, fiber = surface(context)
+    return (data.SMOOTH_DISC[label] if fiber is None
+            else data.SINGULAR_DISC[(label, fiber)])
+
+
 def _build_discs():
     for name, disc in data.COMPONENT_DISCS:
         yield "blocks.%s" % name, disc, discriminant(_ade_sum(name))
-    for ctx, blocks, total in data.COMPONENT_TABLES:
-        prod = 1
-        for _, d in blocks:
-            prod *= d
-        yield "factors.%s" % ctx, total, prod
-    for ctx, d_w, d_w2, ps in data.DISC_DROPS:
-        sq = 1
-        for p in ps:
-            sq *= p * p
+    for ctx, blocks in data.COMPONENT_TABLES:
+        yield ("factors.%s" % ctx, _printed_disc(ctx),
+               prod(d for _, d in blocks))
+    for ctx, d_w2, ps in data.DISC_DROPS:
+        d_w, sq = _printed_disc(ctx), prod(ps) ** 2
         got = d_w // sq if d_w % sq == 0 else "index does not divide"
         yield "%s.after" % ctx, d_w2, got
 

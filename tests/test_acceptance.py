@@ -34,6 +34,7 @@ from k3pencils.groups import (
     group,
     index,
     pgroup,
+    surface,
 )
 from k3pencils.lattices import (
     ADEType,
@@ -269,10 +270,15 @@ def test_criterion_06_nu_tables_as_printed():
 
 def test_criterion_07_discriminant_index_identities():
     mismatches = []
-    for ctx, dW, dW2, ps in data.DISC_DROPS:
+    seen = set()
+    for ctx, dW2, ps in data.DISC_DROPS:
+        # d(W) is the printed discriminant of the member ctx names
+        label, _degree, fiber = surface(ctx)
+        dW = (data.SMOOTH_DISC[label] if fiber is None
+              else data.SINGULAR_DISC[(label, fiber)])
         if not index_formula_check(dW, dW2, ps):
             mismatches.append("%s: %d != %d * %r^2" % (ctx, dW, dW2, ps))
-    seen = {(dW, dW2, tuple(ps)) for _, dW, dW2, ps in data.DISC_DROPS}
+        seen.add((dW, dW2, tuple(ps)))
     wanted = {
         (4320, 30, (3, 2, 2)),
         (6048, 168, (2, 3)),

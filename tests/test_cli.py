@@ -83,8 +83,12 @@ class TestFixlines:
         assert len(out.strip().splitlines()) == 1 + 9
 
     def test_ambient_group_rejected(self, capsys):
-        assert main(["fixlines", "OxO"]) == 2
-        assert "six pencil groups" in capsys.readouterr().err
+        for command, tables in (("fixlines", "fix-line tables"),
+                                ("sing", "singular loci"),
+                                ("nu", "curve counts")):
+            assert main([command, "OxO"]) == 2
+            assert capsys.readouterr().err == (
+                "error: %s exist for the six pencil groups\n" % tables)
 
 
 class TestSing:

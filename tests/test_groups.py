@@ -1,10 +1,13 @@
-"""Group generation, the seven-entry registry, and subgroup structure."""
+"""Group generation, the seven-entry registry, the surface registry and
+subgroup structure."""
 
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from k3pencils import algebra, groups
+from k3pencils import algebra, data, groups
 from k3pencils.algebra import (
     ONE,
     P3,
@@ -26,6 +29,7 @@ from k3pencils.groups import (
     AMBIENT,
     DEFAULT_DEGREE,
     GROUP_LABELS,
+    SURFACES,
     Element,
     binary_octahedral,
     flat_key,
@@ -35,6 +39,7 @@ from k3pencils.groups import (
     is_subgroup,
     pgroup,
     projectivize,
+    surface,
 )
 
 from exact_oracles import (
@@ -87,6 +92,60 @@ class TestRegistry:
 
     def test_all_labels_have_default_degree(self):
         assert set(GROUP_LABELS) == set(DEFAULT_DEGREE)
+
+    def test_derived_degrees_and_labels(self):
+        assert GROUP_LABELS == ("TxV", "TT1", "VxV", "OxT", "OO2", "TxT",
+                                "OxO")
+        assert DEFAULT_DEGREE == {"TxV": 6, "TT1": 6, "VxV": 6, "OxT": 8,
+                                  "OO2": 8, "TxT": 8, "OxO": 8}
+
+
+BAD_CONTEXTS = ("T_L@8,1", "T_L@6,5", "T_L@6", "X_Q", "T_L@", "T_L@6,1,2")
+
+
+class TestSurfaces:
+    def test_every_data_context_resolves(self):
+        contexts = ({c for c, *_ in data.DIVISIBLE_CLASSES}
+                    | {c for c, *_ in data.DISC_DROPS}
+                    | {c for c, *_ in data.COMPONENT_TABLES})
+        for ctx in contexts:
+            label, degree, fiber = surface(ctx)
+            assert label in GROUP_LABELS, ctx
+            assert fiber in (None, 1, 2, 3, 4), ctx
+            if not ctx.startswith("Y_"):
+                assert DEFAULT_DEGREE[label] == degree, ctx
+
+    def test_ambient_quotients_and_second_stage(self):
+        assert surface("Y_TT") == ("TxT", 6, None)
+        assert surface("Y_OO") == ("OxO", 8, None)
+        assert surface("O_Lbar") == ("TxT", 8, None)
+        for name in ("Y_TT", "Y_OO"):
+            label, degree, _ = surface(name)
+            assert AMBIENT[degree] == label
+
+    def test_pencil_surfaces_name_each_pencil_group_once(self):
+        pencil = [label for name, (label, _) in SURFACES.items()
+                  if not name.startswith("Y_")]
+        assert pencil == list(data.GROUP_ORDER)
+
+    def test_member_contexts(self):
+        assert surface("O_Lbar@8,4") == ("TxT", 8, 4)
+        assert surface("T_M@6,2").fiber == 2
+        with pytest.raises(AttributeError):
+            surface("T_L").label = "TxT"
+
+    def test_bad_contexts_raise_under_python_O(self):
+        code = ("from k3pencils.groups import surface\n"
+                "for ctx in %r:\n"
+                "    try:\n"
+                "        surface(ctx)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n" % (BAD_CONTEXTS,))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "unknown surface %r" % ctx for ctx in BAD_CONTEXTS]
 
 
 def _neg(m):
@@ -246,8 +305,8 @@ class TestElements:
         minus = Element.from_quats(QUAT_ONE, tuple(-c for c in QUAT_ONE))
         for label in GROUP_LABELS:
             assert minus in group(label)
-        assert minus.matrix4() != Element.identity().matrix4() or True
-        # as a rotation it is -Id_4, projectively trivial
+        # as a rotation it is x -> -x, projectively trivial
+        assert minus.matrix4() == _neg(mat_identity(4))
         assert minus.is_proj_trivial() and not minus.is_identity()
 
     def test_inverse(self):

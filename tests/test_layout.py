@@ -17,11 +17,9 @@ READERS = (PACKAGE, ROOT / "benchmarks" / "k3bench")
 ALLOWED_UNREAD = {
     "nullspace": "exact 4x4 kernels, ROADMAP items 3 and 6",
     "point_coords": "the tests' accessor for point coordinates",
-    "SMOOTH_DISC": "printed discriminants, ROADMAP item 1",
-    "SINGULAR_DISC": "printed discriminants, ROADMAP item 1",
-    "index_formula_check": "lattice check, ROADMAP item 2",
-    "cover_self_intersection": "lattice check, ROADMAP item 2",
-    "p_rank_bound_check": "lattice check, ROADMAP item 2",
+    "index_formula_check": "lattice check, ROADMAP item 4",
+    "cover_self_intersection": "lattice check, ROADMAP item 4",
+    "p_rank_bound_check": "lattice check, ROADMAP item 3",
 }
 
 

@@ -343,7 +343,7 @@ def mat2_conj(m):
 
 # the trace zeta^k + zeta^-k of a nonscalar det-1 2x2 of finite order,
 # 0 < k < 12, mapped to k; traces +-2 (k = 0, 12) belong to +-1 only
-_TRACE_EXPONENT = {ROOTS24[k] + ROOTS24[-k]: k for k in range(1, 12)}
+TRACE_EXPONENT = {ROOTS24[k] + ROOTS24[-k]: k for k in range(1, 12)}
 
 
 def eig2(m):
@@ -355,7 +355,7 @@ def eig2(m):
     """
     if scalar_of(m) is not None:
         return None
-    k = _TRACE_EXPONENT.get(m[0][0] + m[1][1])
+    k = TRACE_EXPONENT.get(m[0][0] + m[1][1])
     if k is None:
         raise ValueError("eigenvalue outside mu_24")
     return tuple((ROOTS24[j], _eigvec2(m, ROOTS24[j])) for j in (k, 24 - k))

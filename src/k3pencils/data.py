@@ -10,6 +10,8 @@ Keys reuse the dataset section ids (sec3 ... sec8) so a report cell
 can always be traced back to one table of one section.
 """
 
+from .groups import AMBIENT, SURFACES
+
 TABLE_IDS = (
     "sec3.subgroups",
     "sec4.rulings",
@@ -21,7 +23,8 @@ TABLE_IDS = (
     "sec8.discs",
 )
 
-GROUP_ORDER = ("TxV", "TT1", "VxV", "OxT", "OO2", "TxT")
+# the six pencil groups, in the order of the printed tables
+GROUP_ORDER = tuple(g for g, d in SURFACES.values() if g != AMBIENT[d])
 
 # sec3.subgroups: label -> (order, ambient label, index in the ambient)
 SUBGROUPS = {

@@ -62,7 +62,8 @@ class Line(NamedTuple):
     point is a special-point index; qpoints is the sorted pair of
     quadric points (u, v), as index pairs, on the line.  The fields are
     canonical, so equality is that of keys, and lines of both kinds
-    sort together as tuples.
+    sort together as tuples.  The scans build them positionally
+    (Line._make), equal and hashing as the keyword form.
     """
 
     kind: str
@@ -79,11 +80,12 @@ class Line(NamedTuple):
 
 
 def ruling_line(side, pt):
-    return Line("ruling", side=side, point=pt)
+    return Line._make(("ruling", side, pt, None))
 
 
 def transversal_line(qp1, qp2):
-    return Line("transversal", qpoints=tuple(sorted((qp1, qp2))))
+    return Line._make(("transversal", None, None,
+                       (qp1, qp2) if qp1 < qp2 else (qp2, qp1)))
 
 
 def act_line(e, line):
@@ -108,9 +110,9 @@ def fix_lines(e):
     """
     eig = groups.binary_octahedral().eig
     ep, eq = eig[e.a], eig[e.b]
-    if ep is None and eq is None:
-        raise ValueError("projectively trivial element fixes all of P^3")
     if eq is None:
+        if ep is None:
+            raise ValueError("projectively trivial element fixes all of P^3")
         return [ruling_line("left", u) for u in ep]
     if ep is None:
         return [ruling_line("right", v) for v in eq]
@@ -373,6 +375,7 @@ def offquadric_rows(label):
     return tuple(rows)
 
 
+@cache
 def nu1(label):
     """Number of base-locus line orbits under the projective group."""
     return len(line_orbits(pgroup(label), base_locus(DEFAULT_DEGREE[label])))

@@ -23,6 +23,7 @@ from .algebra import (
     Q2,
     QUAT_ONE,
     ROOTS24,
+    TRACE_EXPONENT,
     Cyc,
     eig2,
     mat2_conj,
@@ -34,6 +35,14 @@ from .algebra import (
 )
 
 ID2 = mat_identity(2)
+
+
+@cache
+def _factors(x):
+    # su2(x) and its conjugate, x's left and right factors: the table
+    # build and Element.from_quats read six quaternions 132 times
+    m = su2_of_quat(x)
+    return m, mat2_conj(m)
 
 
 class OctahedralTable(NamedTuple):
@@ -64,15 +73,18 @@ def binary_octahedral():
     Left products close up to 2O, taking a generator factor only if the
     closure has not reached it yet; each element is a generator times
     its parent on that spanning tree, so the product table follows from
-    the used generators' left permutations.  eig2 runs once per +- pair,
-    since -m has the eigenpoints of m with exponents + 12.  The point
-    action needs no arithmetic: if h fixes p with exponent k, then
+    the used generators' left permutations.  Factors come in increasing
+    trace exponent, so largest orders first: one of order 8 and one of
+    order 6 generate 2O, in 2 x 48 products.  eig2 runs once per +-
+    pair, since -m has the eigenpoints of m with exponents + 12.  The
+    point action needs no arithmetic: if h fixes p with exponent k, then
     a h a^-1 fixes a.p with exponent k.
     """
     gens = sorted({m for pairs in _GENERATOR_PAIRS.values()
                    for p, q in pairs
-                   for m in (su2_of_quat(p), mat2_conj(su2_of_quat(q)))}
-                  - {ID2}, key=flat_key)
+                   for m in (_factors(p)[0], _factors(q)[1])} - {ID2},
+                  key=lambda m: (TRACE_EXPONENT[m[0][0] + m[1][1]],
+                                 flat_key(m)))
     mats, index, tree = [ID2], {ID2: 0}, [None]
     used, left = [], []  # left[j][x] is the index of used[j] * mats[x]
     for g in gens:
@@ -152,8 +164,7 @@ class Element(namedtuple("Element", "a b")):
     def from_quats(cls, p, q):
         index = binary_octahedral().index
         try:
-            return cls(index[su2_of_quat(p)],
-                       index[mat2_conj(su2_of_quat(q))])
+            return cls(index[_factors(p)[0]], index[_factors(q)[1]])
         except KeyError:
             raise ValueError("rotation factor outside the binary"
                              " octahedral group") from None
@@ -229,29 +240,33 @@ class Group:
 
 
 def generate_group(name, generators):
-    """Close a generator list under multiplication (breadth-first).
+    """Close a generator list under multiplication (Dimino's algorithm).
 
     Elements are index pairs into the 2O table taken modulo the joint
-    sign, so the closure always ends, with at most 1152 of them.
+    sign, so the closure always ends, with at most 1152 of them.  Adding
+    a generator adds right cosets H r of the group H closed so far, one
+    product per element (Butler, Fundamental Algorithms for Permutation
+    Groups, 1991): each new r is a known coset's r times a generator.
     """
     gens = [g if isinstance(g, Element) else Element.from_quats(*g)
             for g in generators]
     table = binary_octahedral()
     mul, neg = table.mul, table.neg
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        new = []
-        for a, b in frontier:
-            for c, d in gens:
-                x, y = mul[a][c], mul[b][d]
-                if neg[x] < x:
-                    x, y = neg[x], neg[y]
-                if (x, y) not in seen:
-                    seen.add((x, y))
-                    new.append((x, y))
-        frontier = new
-    return Group(name, gens, (Element(a, b) for a, b in seen))
+
+    def times(p, q):  # the canonical pair of the product p q
+        x, y = mul[p[0]][q[0]], mul[p[1]][q[1]]
+        return (neg[x], neg[y]) if neg[x] < x else (x, y)
+
+    elements, seen = [(0, 0)], {(0, 0)}
+    for i, s in enumerate(gens):
+        sub, todo = elements[:], [s]
+        for r in todo:  # todo grows while it is scanned
+            if r not in seen:  # the cosets found so far are all in seen
+                coset = [times(h, r) for h in sub]
+                elements += coset
+                seen.update(coset)
+                todo += [times(r, t) for t in gens[:i + 1]]
+    return Group(name, gens, map(Element._make, elements))
 
 
 class ProjectiveGroup:
@@ -276,9 +291,10 @@ class ProjectiveGroup:
 
 
 def projectivize(g):
+    neg = binary_octahedral().neg
     reps = {}
-    for e in g:
-        reps.setdefault(e.proj_key(), e)
+    for e in g:  # e.a is canonical: e.proj_key() with one lookup
+        reps.setdefault((e.a, min(e.b, neg[e.b])), e)
     return ProjectiveGroup(g.name, reps, [reps[x.proj_key()] for x in g.generators])
 
 

@@ -262,7 +262,11 @@ def _ade_sum(text):
 
 
 def _printed_disc(context):
-    label, _, fiber = surface(context)
+    # SMOOTH_DISC and SINGULAR_DISC are keyed by pencil group alone, at
+    # its own degree: Y_TT (TxT at degree 6) is not O_Lbar's TxT
+    label, degree, fiber = surface(context)
+    if degree != DEFAULT_DEGREE[label] or label not in data.GROUP_ORDER:
+        raise ValueError(f"no printed discriminant for {context!r}")
     return (data.SMOOTH_DISC[label] if fiber is None
             else data.SINGULAR_DISC[(label, fiber)])
 

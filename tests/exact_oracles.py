@@ -3,10 +3,10 @@
 Field constants, matrix and group operations that serve as oracles for
 the table-driven code in k3pencils, or as checks the report does not
 need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
-inverses, normality, conjugation (by a rotation or by the
-factor-swapping reflection) and conjugacy classes.  The lattice oracles
-redo integer determinants and overlattice Gram matrices in Fraction
-arithmetic, and Smith forms from gcds of minors.
+inverses, the breadth-first group closure, normality, conjugation (by a
+rotation or by the factor-swapping reflection) and conjugacy classes.
+The lattice oracles redo integer determinants and overlattice Gram
+matrices in Fraction arithmetic, and Smith forms from gcds of minors.
 """
 
 import itertools
@@ -173,6 +173,30 @@ def swap(e):
     t = binary_octahedral()
     return Element(t.index[mat2_conj(t.mats[e.b])],
                    t.index[mat2_conj(t.mats[e.a])])
+
+
+def bfs_closure(generators):
+    """Index pairs of the group generated by Elements, breadth-first.
+
+    Every element times every generator, |G| x |gens| products: the
+    reference for the coset closure of generate_group.
+    """
+    table = binary_octahedral()
+    mul, neg = table.mul, table.neg
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        new = []
+        for a, b in frontier:
+            for c, d in generators:
+                x, y = mul[a][c], mul[b][d]
+                if neg[x] < x:
+                    x, y = neg[x], neg[y]
+                if (x, y) not in seen:
+                    seen.add((x, y))
+                    new.append((x, y))
+        frontier = new
+    return seen
 
 
 def is_normal(h, g):

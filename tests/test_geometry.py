@@ -456,6 +456,27 @@ class TestLineActions:
         ln = fix_lines(Element.from_quats(Q1, Q1))[0]
         assert act_line(a, act_line(b, ln)).key == act_line(a * b, ln).key
 
+    @pytest.mark.parametrize("label", ["TxV", "OxO"])
+    def test_built_lines_equal_keyword_lines(self, label):
+        # the scans build lines positionally; each must be the Line that
+        # the keyword constructor makes from its key
+        pg = pgroup(label)
+        lines = {ln for e in pg if not e.is_proj_trivial()
+                 for ln in fix_lines(e)}
+        lines |= {act_line(e, ln) for e in pg
+                  for ln in base_locus(DEFAULT_DEGREE[label])
+                  + line_inventory(pg)[:3]}
+        kinds = set()
+        for ln in lines:
+            if ln.key[0] == "ruling":
+                want = Line("ruling", side=ln.key[1], point=ln.key[2])
+            else:
+                want = Line("transversal", qpoints=ln.key[1])
+                assert list(want.qpoints) == sorted(want.qpoints)
+            assert ln == want and hash(ln) == hash(want)
+            kinds.add(ln.kind)
+        assert kinds == {"ruling", "transversal"}
+
     def test_transversal_line_canonical_order(self):
         u1, v1 = _point((ONE, I)), _point((ZERO, ONE))
         u2, v2 = _point((ONE, -I)), _point((ONE, ZERO))

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3pencils import algebra, data, groups
 from k3pencils.algebra import (
@@ -45,6 +46,7 @@ from k3pencils.groups import (
 from exact_oracles import (
     C_SWAP,
     Q3,
+    bfs_closure,
     conjugacy_classes,
     conjugate_group,
     is_normal,
@@ -256,16 +258,27 @@ class TestOctahedralTable:
                 calls["normalize_point outside eig2"] += 1
             return normalize_point(v)  # this module's unpatched import
 
+        def counted_su2_of_quat(x):
+            calls["su2_of_quat"] += 1
+            return su2_of_quat(x)
+
         monkeypatch.setattr(groups, "mat_mul", counted_mat_mul)
         monkeypatch.setattr(groups, "eig2", counted_eig2)
+        monkeypatch.setattr(groups, "su2_of_quat", counted_su2_of_quat)
         for module in (algebra, groups):
             monkeypatch.setattr(module, "normalize_point",
                                 counted_normalize_point, raising=False)
+        groups._factors.cache_clear()
         t = binary_octahedral.__wrapped__()
         assert len(t.mats) == 48 and len(t.points) == 26
-        assert calls["mat_mul"] <= 260
+        # an order-8 and an order-6 factor generate 2O: 2 x 48 products
+        assert calls["mat_mul"] <= 96
         assert calls["eig2"] <= 24
         assert calls["normalize_point outside eig2"] == 0
+        # and the seven closures convert no generator quaternion again
+        for label in GROUP_LABELS:
+            generate_group(label, _GENERATOR_PAIRS[label])
+        assert calls["su2_of_quat"] == 6
 
     @pytest.mark.parametrize("label", GROUP_LABELS)
     def test_closure_matches_exact_search(self, label):
@@ -279,10 +292,35 @@ class TestOctahedralTable:
         assert len(proj) == pgroup(label).order() == g.order() // 2
 
 
+# derandomized, as in test_lattices.TestProperties
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+# a group label and a list of positions in its generator list: subsets
+# in any order, with repeats
+generator_picks = st.sampled_from(GROUP_LABELS).flatmap(
+    lambda label: st.tuples(st.just(label), st.lists(
+        st.integers(0, len(_GENERATOR_PAIRS[label]) - 1), max_size=7)))
+
+
 class TestGenerateGroup:
     def test_trivial_group(self):
         g = generate_group("e", [])
         assert g.order() == 1
+
+    @pytest.mark.parametrize("label", GROUP_LABELS)
+    def test_coset_closure_matches_breadth_first(self, label):
+        g = group(label)
+        assert set(g.elements) == bfs_closure(g.generators)
+        # made from canonical pairs, without the constructor's check
+        assert all(Element(*e) == e for e in g)
+
+    @deterministic
+    @given(generator_picks)
+    def test_coset_closure_of_generator_subsets(self, pick):
+        label, positions = pick
+        gens = [group(label).generators[i] for i in positions]
+        g = generate_group("sub", gens)
+        assert set(g.elements) == bfs_closure(gens)
 
     def test_alternate_tetrahedral_generators(self):
         # <j, p3> and <i, p3> both give the binary tetrahedral group

@@ -8,8 +8,7 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config
-from .geometry import fixlines_table, offquadric_rows, orbits_on_ruling, \
-    quadric_point_rows
+from .geometry import fixlines_table, orbits_on_ruling, quadric_point_rows
 from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, group
 from .lattices import (
     adjoin_class,
@@ -20,7 +19,8 @@ from .lattices import (
     is_p_divisible,
     nikulin_count_check,
 )
-from .singularities import binary_quotient_type, node_records, nu_totals
+from .singularities import binary_quotient_type, node_records, \
+    nu_totals, offquadric_orbits
 from .tables import emit_report, group_registry, run_verification, tally
 
 
@@ -72,9 +72,9 @@ def cmd_sing(args):
         print("Z%dxZ%d  length %d  orbits %d" % (
             row.fix + (row.length, row.number)))
     print("# points off the quadric")
-    for row in offquadric_rows(args.group):
+    for row, n in offquadric_orbits(args.group, "smooth"):
         print("%-4s o=%d  length %d  orbits %d" % (
-            row.type_tag, row.order, row.length, row.number))
+            row.type_tag, row.order, row.ratio, n))
     print("# nodes of the singular members")
     for rec in node_records(args.group):
         t = binary_quotient_type(rec.fix_group)

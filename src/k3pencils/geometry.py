@@ -342,39 +342,6 @@ def quadric_point_rows(label):
     return tuple(rows)
 
 
-# ---------------------------------------------------------------------------
-# off-quadric singular loci (points on transversal fix-lines)
-
-class OffQuadricRow(NamedTuple):
-    type_tag: str
-    order: int
-    length: int  # |H_L| / |F_L|, the generic orbit length
-    number: int
-
-    def __repr__(self):
-        return (f"OffQuadricRow({self.type_tag}, o={self.order}, "
-                f"length={self.length}, number={self.number})")
-
-
-@cache
-def offquadric_rows(label):
-    """Orbits of pencil base points sitting on transversal fix-lines.
-
-    On a fix-line L the quotient group H_L / F_L acts freely away from
-    the quadric, so the m base points off the quadric fall into
-    m / |H_L/F_L| orbits, each contributing one A_{o(L)-1} point.  The
-    pencil is the one of degree DEFAULT_DEGREE[label].
-    """
-    degree = DEFAULT_DEGREE[label]
-    rows = []
-    for fl in fixlines_table(label):
-        m = points_off_quadric(fl.rep, degree)
-        hbar = fl.ratio
-        assert m % hbar == 0, "free action does not divide the base points"
-        rows.append(OffQuadricRow(fl.type_tag, fl.order, hbar, m // hbar))
-    return tuple(rows)
-
-
 @cache
 def nu1(label):
     """Number of base-locus line orbits under the projective group."""
@@ -386,6 +353,3 @@ def nu2(label):
         r.number * (r.transversal_order - 1) for r in quadric_point_rows(label)
     )
 
-
-def nu3_smooth(label):
-    return sum(r.number * (r.order - 1) for r in offquadric_rows(label))

@@ -15,15 +15,9 @@ from collections import namedtuple
 from functools import cache
 
 from . import data
-from .geometry import (
-    fixlines_table,
-    nu1,
-    nu2,
-    nu3_smooth,
-    points_off_quadric,
-)
+from .geometry import fixlines_table, nu1, nu2, points_off_quadric
 from .groups import DEFAULT_DEGREE, pgroup
-from .lattices import ADEType
+from .lattices import ADEType, _integer
 
 _POLYHEDRAL = {"T": 12, "O": 24, "I": 60}
 
@@ -137,6 +131,10 @@ class NodeOrbitRecord(namedtuple(
                 meeting_lines="", line_incidences=()):
         if fiber not in (1, 2, 3, 4):
             raise ValueError("fiber must be 1..4, got %r" % (fiber,))
+        node_count = _integer(node_count, "node count")
+        orbit_count = _integer(orbit_count, "orbit count")
+        if min(node_count, orbit_count) < 1:
+            raise ValueError("node and orbit counts must be positive")
         if node_count % orbit_count:
             raise ValueError("orbit count must divide node count")
         if not isinstance(fix_group, BinaryGroupClass):
@@ -213,20 +211,21 @@ def node_records(label):
     out = []
     for fiber in (1, 2, 3, 4):
         ns, orbits, fix, meeting, _sing = data.NODES[(label, fiber)]
-        out.append(NodeOrbitRecord(label, fiber, ns, orbits, fix, meeting,
-                                   parse_meeting_lines(label, meeting)))
+        incidences = parse_meeting_lines(label, meeting)
+        try:
+            out.append(NodeOrbitRecord(label, fiber, ns, orbits, fix,
+                                       meeting, incidences))
+        except ValueError as exc:
+            raise ValueError("%s lambda%d: %s" % (label, fiber, exc)) from None
     return tuple(out)
 
 
-def _nu3_at_fiber(label, record):
-    """Off-quadric curve count after nodes swallow points of fix-lines.
+def _nodes_per_line(label, record):
+    """{fixlines_table row: nodes of the member on each of its lines}.
 
-    On a line L with m off-quadric special points, each node lying on L
-    is a double point of the intersection with the pencil member, so k
-    nodes leave m - 2k simple points falling into (m - 2k)/hbar orbits.
-    k is reconstructed from the per-node line counts: the incidences of
-    one meeting-lines term spread evenly over the lines of the rows its
-    columns name, which also absorbs the alternating N/N' annotations.
+    The incidences of one meeting-lines term spread evenly over the
+    lines of the rows its columns name, which also absorbs the
+    alternating N/N' annotations.  Rows no term names are absent.
     """
     where = "%s lambda%d" % (label, record.fiber)
     columns = fixline_columns(label)
@@ -244,7 +243,28 @@ def _nu3_at_fiber(label, record):
                                                       "+".join(names)))
         for row in rows:
             k_of[row] = k_of.get(row, 0) + hits // lines
-    nu3 = 0
+    return k_of
+
+
+def offquadric_orbits(label, fiber):
+    """(fixlines_table row, orbits left on it) pairs, in table order.
+
+    fiber is "smooth" or a lambda index 1..4 of the pencil of degree
+    DEFAULT_DEGREE[label].  A transversal fix-line L carries m base
+    points off the quadric; each of the k nodes of the member on L is a
+    double point of the intersection and takes two.  H_L/F_L acts
+    freely on the m - 2k left, so they fall into (m - 2k)/|H_L/F_L|
+    orbits, each the image of one A_{o(L)-1} point.  The smooth member
+    has no nodes; a singular one has those of node_records.
+    """
+    if fiber == "smooth":
+        where, k_of = "%s smooth" % label, {}
+    elif fiber in (1, 2, 3, 4):
+        where = "%s lambda%d" % (label, fiber)
+        k_of = _nodes_per_line(label, node_records(label)[fiber - 1])
+    else:
+        raise ValueError("fiber must be 'smooth' or 1..4, got %r" % (fiber,))
+    out = []
     for row in fixlines_table(label):
         m = points_off_quadric(row.rep, DEFAULT_DEGREE[label])
         k = k_of.get(row, 0)
@@ -254,23 +274,20 @@ def _nu3_at_fiber(label, record):
                              " points leave %d, not a multiple of |H|/|F|"
                              " = %d" % (where, k, row.type_tag, m, left,
                                         row.ratio))
-        nu3 += (left // row.ratio) * (row.order - 1)
-    return nu3
+        out.append((row, left // row.ratio))
+    return tuple(out)
 
 
 def nu_totals(label, fiber):
     """The curve-count vector (nu1, nu2, nu3, nu4, nu) for one fiber.
 
-    fiber is "smooth" or a lambda index 1..4.  The pencil degree is
-    DEFAULT_DEGREE[label] and the nodes of a singular fiber are those
-    of data.NODES, both looked up by the group label.
+    fiber is "smooth" or a lambda index 1..4, as in offquadric_orbits.
+    The nodes of a singular fiber are those of data.NODES, looked up by
+    the group label.
     """
-    if fiber not in ("smooth", 1, 2, 3, 4):
-        raise ValueError("fiber must be 'smooth' or 1..4, got %r" % (fiber,))
-    n1 = nu1(label)
-    n2 = nu2(label)
+    n3 = sum(n * (row.order - 1) for row, n in offquadric_orbits(label, fiber))
+    n1, n2 = nu1(label), nu2(label)
     if fiber == "smooth":
-        n3 = nu3_smooth(label)
         return (n1, n2, n3, 0, n1 + n2 + n3)
     record = node_records(label)[fiber - 1]
     if record.node_count != NODE_COUNTS[DEFAULT_DEGREE[label]][fiber - 1]:
@@ -281,6 +298,5 @@ def nu_totals(label, fiber):
                          " F = %s breaks orbit-stabilizer" % (
                              label, fiber, record.orbit_count,
                              record.node_count, record.fix_group.label))
-    n3 = _nu3_at_fiber(label, record)
     n4 = record.orbit_count * binary_quotient_type(record.fix_group).rank
     return (n1, n2, n3, n4, n1 + n2 + n3 + n4)

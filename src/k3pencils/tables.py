@@ -21,7 +21,6 @@ from .geometry import (
     base_locus,
     fixlines_table,
     meeting_point_orbits,
-    offquadric_rows,
     orbits_on_ruling,
     quadric_point_rows,
 )
@@ -50,6 +49,7 @@ from .singularities import (
     fixline_columns,
     node_records,
     nu_totals,
+    offquadric_orbits,
     quadric_point_singularity,
 )
 
@@ -172,18 +172,17 @@ def _build_sing():
                 yield (prefix + ".sing", r[5],
                        _sing_str(c.number, sing, keep_one=True))
 
-        computed = offquadric_rows(label)
+        orbits = offquadric_orbits(label, "smooth")
         for (grp, o), m in data.OFFQUADRIC_COUNTS.items():
             if grp != label:
                 continue
-            got = sorted({row.length * row.number
-                          for row in computed if row.order == o})
+            got = sorted({row.ratio * n for row, n in orbits
+                          if row.order == o})
             yield ("%s.points.o%d" % (label, o), m,
                    got[0] if len(got) == 1 else tuple(got))
 
-        # the off-quadric rows are the fix-line rows, one for one
         columns = fixline_columns(label)
-        off_row = dict(zip(fixlines_table(label), computed))
+        number_of = dict(orbits)
         mult_of = {r[1]: r[6] for r in data.FIXLINES if r[0] == label}
         printed = [r for r in data.OFFQUADRIC_ROWS if r[0] == label]
         for o in sorted({r[2] for r in printed}):
@@ -192,19 +191,19 @@ def _build_sing():
             if not all(r[1] in columns for r in prows):
                 yield ("%s.lines(o=%d)" % (label, o),
                        sum(mult_of[r[1]] for r in prows),
-                       sum(1 for c in computed if c.order == o))
+                       sum(1 for row, _ in orbits if row.order == o))
                 continue
             for r in prows:
                 _, name, _o, length, number, sing = r
-                rows = [off_row[f] for f in columns[name]]
+                rows = columns[name]
                 prefix = "%s.%s" % (label, name)
                 yield (prefix + ".length", length,
-                       _common(rows, lambda c: c.length))
+                       _common(rows, lambda c: c.ratio))
                 yield (prefix + ".number", number,
-                       _common(rows, lambda c: c.number))
+                       _common(rows, number_of.get))
                 yield (prefix + ".sing", sing,
                        _common(rows, lambda c: _sing_str(
-                           c.number, ADEType("A", c.order - 1))))
+                           number_of[c], ADEType("A", c.order - 1))))
 
         ph = pgroup(label).order()
         for rec in node_records(label):

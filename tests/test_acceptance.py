@@ -20,7 +20,6 @@ from k3pencils.geometry import (
     line_inventory,
     line_orbits,
     meeting_point_orbits,
-    offquadric_rows,
     orbits_on_ruling,
     pure_fix_points,
     quadric_point_rows,
@@ -55,6 +54,7 @@ from k3pencils.singularities import (
     binary_quotient_type,
     node_records,
     nu_totals,
+    offquadric_orbits,
     quadric_point_singularity,
 )
 from k3pencils.tables import KNOWN_DEVIATIONS, run_verification
@@ -211,8 +211,8 @@ def test_criterion_05_singularity_cells():
         mult_of = {r[1]: r[6] for r in data.FIXLINES if r[0] == label}
         want = sorted(r[5] for r in data.OFFQUADRIC_ROWS if r[0] == label
                       for _ in range(mult_of.get(r[1], 1)))
-        got = sorted(_sing(row.number, ADEType("A", row.order - 1))
-                     for row in offquadric_rows(label))
+        got = sorted(_sing(n, ADEType("A", row.order - 1))
+                     for row, n in offquadric_orbits(label, "smooth"))
         if got != want:
             mismatches.append("%s off-quadric sing %r != %r"
                               % (label, got, want))

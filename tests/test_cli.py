@@ -343,14 +343,16 @@ def test_validation_survives_python_O():
             exc if ":" in exc else exc + ":"), proc.stderr
 
 
-# ingested node rows broken three ways: 5 M-lines through each of 24
+# ingested node rows broken five ways: 5 M-lines through each of 24
 # nodes do not share out over the 72 lines of the M row; 9 put 12 nodes
 # on a line with 8 off-quadric points; one orbit of 24 nodes with F = O
-# breaks orbit-stabilizer
+# breaks orbit-stabilizer; 0 orbits; 5 orbits do not divide 24 nodes
 NODE_SABOTAGE = (
     (1, 3, "3R+4N(N')+5M"),
     (4, 3, "1N(N')+9M"),
     (1, 1, 1),
+    (1, 1, 0),
+    (1, 1, 5),
 )
 
 
@@ -369,3 +371,28 @@ def test_node_data_checks_survive_python_O():
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: OO2 lambda%d: " % fiber), \
             proc.stderr
+
+
+def test_smooth_offquadric_check_survives_python_O():
+    # 5 base points on a TxV fix-line do not fall into orbits of 4
+    code = ("from k3pencils import singularities\n"
+            "from k3pencils.cli import main\n"
+            "singularities.points_off_quadric = lambda line, degree: 5\n"
+            "raise SystemExit(main(['nu', 'TxV']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: TxV smooth: "), proc.stderr
+
+
+def test_verify_report_survives_python_O():
+    # the full report with asserts compiled out, against the digest the
+    # benchmark pins
+    refs = Path(__file__).resolve().parents[1] / "benchmarks" / \
+        "k3bench" / "refs.json"
+    want = json.loads(refs.read_text())["verify"]
+    proc = subprocess.run([sys.executable, "-O", "-m", "k3pencils", "verify"],
+                          capture_output=True)
+    assert proc.returncode == want["exit"] == 1
+    assert hashlib.sha256(proc.stdout).hexdigest() == want["sha256"]
+    assert proc.stderr.decode().strip() == want["summary"]

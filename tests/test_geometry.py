@@ -37,8 +37,6 @@ from k3pencils.geometry import (
     meeting_point_orbits,
     nu1,
     nu2,
-    nu3_smooth,
-    offquadric_rows,
     orbits_on_ruling,
     points_off_quadric,
     pure_fix_points,
@@ -48,6 +46,7 @@ from k3pencils.geometry import (
     stabilizer,
     transversal_line,
 )
+from k3pencils.singularities import offquadric_orbits
 
 from exact_oracles import eigenspaces, mat_vec
 
@@ -265,8 +264,8 @@ class TestFixLineTables:
             row.rep.type_tag = "R"
         with pytest.raises(AttributeError):
             quadric_point_rows("OxT")[0].number = 0
-        with pytest.raises(AttributeError):
-            offquadric_rows("OxT")[0].number = 0
+        with pytest.raises(TypeError):
+            offquadric_orbits("OxT", "smooth")[0] = None
 
     def test_orbit_stabilizer_identity(self):
         pg = pgroup("TT1")
@@ -422,8 +421,8 @@ class TestSingularLoci:
     def test_offquadric_rows(self, label, degree):
         assert DEFAULT_DEGREE[label] == degree
         got = sorted(
-            (r.type_tag, r.order, r.length, r.number)
-            for r in offquadric_rows(label)
+            (r.type_tag, r.order, r.ratio, n)
+            for r, n in offquadric_orbits(label, "smooth")
         )
         assert got == sorted(OFFQUADRIC_ROWS[(label, degree)])
 
@@ -439,7 +438,8 @@ class TestSingularLoci:
         for label, (n1, n2, n3) in expected.items():
             assert nu1(label) == n1
             assert nu2(label) == n2
-            assert nu3_smooth(label) == n3
+            assert sum(n * (r.order - 1) for r, n in
+                       offquadric_orbits(label, "smooth")) == n3
 
 
 class TestLineActions:

@@ -3,11 +3,7 @@
 import pytest
 
 from k3pencils import data
-from k3pencils.geometry import (
-    fixlines_table,
-    offquadric_rows,
-    quadric_point_rows,
-)
+from k3pencils.geometry import fixlines_table, quadric_point_rows
 from k3pencils.groups import pgroup
 from k3pencils.lattices import ADEType
 from k3pencils.singularities import (
@@ -17,6 +13,7 @@ from k3pencils.singularities import (
     fixline_columns,
     node_records,
     nu_totals,
+    offquadric_orbits,
     parse_meeting_lines,
     quadric_point_singularity,
 )
@@ -150,6 +147,11 @@ class TestNodeDataset:
             NodeOrbitRecord("TxV", 1, 12, 5, "id")
         with pytest.raises(ValueError):
             NodeOrbitRecord("TxV", 1, 12, 1, "Q8")
+        # counts are positive integers: no division by zero, no
+        # fractional or negative orbits
+        for ns, orbits in ((12, 0), (12, 1.5), (12, -3), (-12, 1)):
+            with pytest.raises(ValueError):
+                NodeOrbitRecord("TxV", 1, ns, orbits, "id")
 
     def test_records_are_cached_and_immutable(self):
         recs = node_records("OO2")
@@ -200,8 +202,8 @@ def _quadric_cells(label):
 
 
 def _offquadric_cells(label):
-    return ["%d%s" % (r.number, ADEType("A", r.order - 1))
-            for r in offquadric_rows(label)]
+    return ["%d%s" % (n, ADEType("A", r.order - 1))
+            for r, n in offquadric_orbits(label, "smooth")]
 
 
 class TestSingularityReports:
@@ -217,6 +219,39 @@ class TestSingularityReports:
         assert _offquadric_cells("TT1") == ["1A1", "1A1", "1A1", "6A2"]
         assert _offquadric_cells("OO2") == ["4A1", "1A2", "1A2", "2A3"]
         assert _offquadric_cells("VxV") == ["1A1"] * 9
+
+
+class TestOffquadricOrbits:
+    @pytest.mark.parametrize("label", sorted(DEGREES))
+    def test_nodes_only_take_points(self, label):
+        # row for row in fixlines_table order, each singular count
+        # between 0 and the smooth one
+        smooth = [n for _, n in offquadric_orbits(label, "smooth")]
+        for fiber in (1, 2, 3, 4):
+            pairs = offquadric_orbits(label, fiber)
+            assert [r for r, _ in pairs] == list(fixlines_table(label))
+            assert all(0 <= n <= s for (_, n), s in zip(pairs, smooth))
+
+    def test_members_without_meeting_lines_keep_every_orbit(self):
+        # the six members whose nodes lie on no transversal fix-line
+        empty = sorted(key for key, row in data.NODES.items() if not row[3])
+        assert empty == [("TT1", 3), ("TxT", 3), ("TxV", 2), ("TxV", 3),
+                         ("VxV", 2), ("VxV", 3)]
+        for label, fiber in empty:
+            assert offquadric_orbits(label, fiber) == \
+                offquadric_orbits(label, "smooth")
+
+    def test_oo2_lambda1(self):
+        # the recomputed nu3 = 2 of the known OO2 lambda1 deviation
+        got = [(r.type_tag, r.length, n)
+               for r, n in offquadric_orbits("OO2", 1)]
+        assert got == [("M", 72, 2), ("N", 16, 0), ("N", 16, 0),
+                       ("R", 18, 0)]
+
+    def test_invalid_fiber(self):
+        for fiber in (0, 5, "1", None):
+            with pytest.raises(ValueError, match="fiber must be"):
+                offquadric_orbits("TxV", fiber)
 
 
 SMOOTH_NU = {

@@ -103,7 +103,8 @@ class Cyc:
 
     def galois(self, t):
         """Apply z -> z^t (t must be a unit mod 24)."""
-        assert gcd(t, 24) == 1
+        if gcd(t, 24) != 1:
+            raise ValueError(f"z -> z^{t} is not a field automorphism")
         acc = [0] * 8
         for k, c in enumerate(self.num):
             if c:
@@ -133,7 +134,8 @@ class Cyc:
         return self * other.inv()
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:  # n >>= 1 would never reach 0
+            raise ValueError(f"negative exponent {n}; use inv()")
         out = ONE
         base = self
         while n:

@@ -204,8 +204,33 @@ def stabilizer(pg, line):
 
 
 def fix_group(pg, line):
-    """F_L: elements fixing the line pointwise."""
-    return [e for e in pg if e.is_proj_trivial() or line in fix_lines(e)]
+    """F_L: elements fixing the line pointwise, in the order of pg.
+
+    Read off the eigen table by index, with no line built.  (P, Q)
+    fixes the ruling line {p} x P^1 pointwise when Q is +-1 (else it
+    moves the line's points) and P is +-1 or fixes p; likewise on the
+    right.  A transversal line is spanned by its quadric points (u1, v1)
+    and (u2, v2), u1 != u2, v1 != v2.  It is fixed pointwise when both
+    lie in one eigenspace of the 4x4: P fixes u1, u2, Q fixes v1, v2 and
+    the exponent sums there agree mod 24; or when e is projectively
+    trivial.  A pure element fixes no transversal line.
+    """
+    if line.kind == "ruling":
+        p, left = line.point, line.side == "left"
+
+        def fixes(ep, eq):
+            this, other = (ep, eq) if left else (eq, ep)
+            return other is None and (this is None or p in this)
+    else:
+        (u1, v1), (u2, v2) = line.qpoints
+
+        def fixes(ep, eq):
+            if ep is None or eq is None:
+                return ep is None and eq is None
+            return (u1 in ep and u2 in ep and v1 in eq and v2 in eq
+                    and (ep[u1] + eq[v1] - ep[u2] - eq[v2]) % 24 == 0)
+    eig = groups.binary_octahedral().eig
+    return [e for e in pg if fixes(eig[e.a], eig[e.b])]
 
 
 def line_inventory(pg):
@@ -244,7 +269,14 @@ def fixlines_table(label):
         rep = orb[0]
         stab = stabilizer(pg, rep)
         fix = fix_group(pg, rep)
-        assert len(orb) * len(stab) == pg.order(), "orbit-stabilizer broken"
+        # also under python -O: stabilizer and fix_group share no code
+        row = f"{label} fix-line row {rep.key} (orbit {len(orb)})"
+        if len(orb) * len(stab) != pg.order():
+            raise ArithmeticError(f"{row}: orbit x |H_L| = {len(orb)} x "
+                                  f"{len(stab)}, not |PG| = {pg.order()}")
+        in_stab = {e.proj_key() for e in stab}
+        if any(e.proj_key() not in in_stab for e in fix):
+            raise ArithmeticError(f"{row}: F_L is not inside H_L")
         order = max(e.proj_order() for e in fix if not e.is_proj_trivial())
         rows.append(FixLineOrbit(ORDER_TAGS[order], len(orb), len(fix),
                                  len(stab), rep, order))

@@ -5,6 +5,7 @@ the table-driven code in k3pencils, or as checks the report does not
 need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
 inverses, the breadth-first group closure, normality, conjugation (by a
 rotation or by the factor-swapping reflection) and conjugacy classes.
+Fix groups of lines are found again from the enumerated fix-lines.
 The lattice oracles redo integer determinants and overlattice Gram
 matrices in Fraction arithmetic, and Smith forms from gcds of minors.
 """
@@ -25,6 +26,7 @@ from k3pencils.algebra import (
     nullspace,
     quat_mul,
 )
+from k3pencils.geometry import fix_lines
 from k3pencils.groups import (
     Element,
     ProjectiveGroup,
@@ -197,6 +199,12 @@ def bfs_closure(generators):
                     new.append((x, y))
         frontier = new
     return seen
+
+
+def fix_group_by_lines(pg, line):
+    """F_L as the elements among whose fix-lines the line is: the
+    reference for the eigen-table test of geometry.fix_group."""
+    return [e for e in pg if e.is_proj_trivial() or line in fix_lines(e)]
 
 
 def is_normal(h, g):

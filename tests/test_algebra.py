@@ -1,6 +1,8 @@
 """Field arithmetic, matrices and the quaternion-pair parametrization."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +125,25 @@ class TestFieldArithmetic:
             ZERO.inv()
         with pytest.raises(ZeroDivisionError):
             Cyc(ONE.num, 0)
+
+    def test_bad_exponents_raise_under_python_O(self):
+        # with asserts compiled out, a negative power looped forever
+        # (-1 >> 1 == -1) and galois(2) returned a map that is no field
+        # automorphism; a root of unity as base keeps the powers small
+        code = ("from k3pencils.algebra import Cyc\n"
+                "z = Cyc.zeta(1)\n"
+                "for f in (lambda: z ** -1, lambda: z.galois(2)):\n"
+                "    try:\n"
+                "        f()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "negative exponent -1; use inv()",
+            "z -> z^2 is not a field automorphism",
+        ]
 
     def test_canonical_form_and_hash(self):
         a = Cyc((2, 0, 4, 0, 0, 0, 0, 0), 6)

@@ -1,5 +1,8 @@
 """Ruling orbits, fix-lines, base locus, meeting points, singular loci."""
 
+import subprocess
+import sys
+
 import pytest
 
 from k3pencils.algebra import (
@@ -18,6 +21,7 @@ from k3pencils.groups import (
     DEFAULT_DEGREE,
     GROUP_LABELS,
     Element,
+    binary_octahedral,
     generate_group,
     group,
     pgroup,
@@ -48,7 +52,7 @@ from k3pencils.geometry import (
 )
 from k3pencils.singularities import offquadric_orbits
 
-from exact_oracles import eigenspaces, mat_vec
+from exact_oracles import eigenspaces, fix_group_by_lines, mat_vec
 
 # orbit lengths of pure-element fix points, grouped by fixer order,
 # one entry per (group, side)
@@ -311,6 +315,68 @@ class TestFixLineTables:
         ln = base_locus(6)[0]
         stab = stabilizer(pg, ln)
         assert len(stab) * 6 == pg.order()  # left base lines: one orbit of 6
+
+
+class TestFixGroups:
+    def test_eigen_rule_matches_fix_line_enumeration(self):
+        # every group on every line that can be a fix-line: the
+        # transversal ones of OxO, which holds the other six groups, and
+        # the ruling line through each special point on each side
+        transversal = line_inventory(pgroup("OxO"))
+        points = range(len(binary_octahedral().points))
+        ruling = [ruling_line(side, p) for side in ("left", "right")
+                  for p in points]
+        assert (len(transversal), len(ruling)) == (194, 52)
+        for label in GROUP_LABELS:
+            pg = pgroup(label)
+            for ln in transversal + ruling:
+                assert fix_group(pg, ln) == fix_group_by_lines(pg, ln), \
+                    (label, ln.key)
+
+    @pytest.mark.parametrize("label", GROUP_LABELS)
+    def test_fix_group_inside_stabilizer(self, label):
+        # on the group's own fix-lines and base lines; on the fix-lines
+        # |H_L|/|F_L| is also the table's ratio for the line's orbit
+        pg = pgroup(label)
+        inventory = line_inventory(pg)
+        ratio = {}
+        for orb in line_orbits(pg, inventory):
+            row = next(r for r in fixlines_table(label) if r.rep in orb)
+            ratio.update(dict.fromkeys(orb, row.ratio))
+        assert set(ratio) == set(inventory)
+        for ln in inventory + base_locus(DEFAULT_DEGREE[label]):
+            stab = {e.proj_key() for e in stabilizer(pg, ln)}
+            fix = {e.proj_key() for e in fix_group(pg, ln)}
+            assert fix <= stab, ln.key
+            if ln in ratio:
+                assert len(stab) == ratio[ln] * len(fix), ln.key
+
+
+# fixlines_table's checks with asserts compiled out: a stabilizer short
+# of one element breaks orbit-stabilizer; an F_L holding an element
+# that moves the line is not inside H_L
+FIXLINE_SABOTAGE = (
+    ("geometry.stabilizer = lambda pg, ln, f=geometry.stabilizer: "
+     "f(pg, ln)[1:]", "not |PG| = 48"),
+    ("geometry.fix_group = lambda pg, ln, f=geometry.fix_group: "
+     "f(pg, ln) + [e for e in pg if geometry.act_line(e, ln) != ln][:1]",
+     "F_L is not inside H_L"),
+)
+
+
+@pytest.mark.parametrize("sabotage, message", FIXLINE_SABOTAGE,
+                         ids=["short_stabilizer", "moving_fixer"])
+def test_fixlines_checks_survive_python_O(sabotage, message):
+    code = ("from k3pencils import geometry\n"
+            "from k3pencils.cli import main\n"
+            "%s\n"
+            "raise SystemExit(main(['fixlines', 'TxV']))\n" % sabotage)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ArithmeticError: TxV fix-line row "), last
+    assert last.endswith(message), last
 
 
 MEETING = {

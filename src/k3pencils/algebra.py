@@ -11,8 +11,8 @@ gcd-reduced, so equality is tuple equality and hashing is free.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 
 def _reduce_pow(k):
@@ -47,11 +47,7 @@ class Cyc:
                 raise ZeroDivisionError("zero denominator")
             num = tuple(-c for c in num)
             den = -den
-        g = den
-        for c in num:
-            g = gcd(g, c)
-            if g == 1:
-                break
+        g = gcd(den, *num)
         if g > 1:
             num = tuple(c // g for c in num)
             den //= g
@@ -65,9 +61,9 @@ class Cyc:
 
     @classmethod
     def rational(cls, p, q=1):
-        if isinstance(p, Fraction):
-            p, q = p.numerator, p.denominator
-        return cls((p, 0, 0, 0, 0, 0, 0, 0), q)
+        """p / q for integers, or for any rational p with numerator and
+        denominator (a Fraction), which are read without importing it."""
+        return cls((p.numerator, 0, 0, 0, 0, 0, 0, 0), p.denominator * q)
 
     @classmethod
     def zeta(cls, k):
@@ -75,11 +71,15 @@ class Cyc:
 
     def __add__(self, other):
         a, b = self, other
+        if a.den == b.den:
+            return Cyc(tuple(map(add, a.num, b.num)), a.den)
         num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
         return Cyc(num, a.den * b.den)
 
     def __sub__(self, other):
         a, b = self, other
+        if a.den == b.den:
+            return Cyc(tuple(map(sub, a.num, b.num)), a.den)
         num = tuple(x * b.den - y * a.den for x, y in zip(a.num, b.num))
         return Cyc(num, a.den * b.den)
 
@@ -87,19 +87,29 @@ class Cyc:
         return Cyc(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
-        a, b = self.num, other.num
-        acc = [0] * 15
-        for i, ai in enumerate(a):
+        acc = [0] * 15  # z^0 .. z^14, zero coefficients of both skipped
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
+                for k, bj in enumerate(other.num, i):  # k = i + j
                     if bj:
-                        acc[i + j] += ai * bj
-        for k in range(14, 7, -1):
-            c = acc[k]
-            if c:
-                acc[k - 4] += c
-                acc[k - 8] -= c
-        return Cyc(tuple(acc[:8]), self.den * other.den)
+                        acc[k] += ai * bj
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = acc
+        # z^(8+m) = z^(4+m) - z^m, folded from the top down
+        c10 += c14
+        c6 -= c14
+        c9 += c13
+        c5 -= c13
+        c8 += c12
+        c4 -= c12
+        c7 += c11
+        c3 -= c11
+        c6 += c10
+        c2 -= c10
+        c5 += c9
+        c1 -= c9
+        c4 += c8
+        c0 -= c8
+        return Cyc((c0, c1, c2, c3, c4, c5, c6, c7), self.den * other.den)
 
     def galois(self, t):
         """Apply z -> z^t (t must be a unit mod 24)."""
@@ -117,15 +127,27 @@ class Cyc:
         return self.galois(23)
 
     def inv(self):
+        """1 / self, by relative norms up the tower of quadratic subfields.
+
+        The Galois group is (Z/24)^* = (Z/2)^3, generated by z -> z^23,
+        z^13, z^7.  Multiplying the partial norm n by its image under
+        the next of them gives a norm to a subfield of half the degree,
+        fixed by one more generator (Cohen, A Course in Computational
+        Algebraic Number Theory, 1993, 4.3); after at most three steps
+        it is rational, and self^-1 = (product of the images) / norm.
+        The walk stops as soon as the norm is rational: an element of
+        rational absolute value takes the one conjugation z -> z^23.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_24)")
-        # product of the 7 nontrivial Galois conjugates; self * prod is
-        # the rational field norm
-        prod = ONE
-        for t in (5, 7, 11, 13, 17, 19, 23):
-            prod = prod * self.galois(t)
-        norm = self * prod
-        assert not any(norm.num[1:]), "norm must be rational"
+        norm, prod = self, ONE
+        for t in (23, 13, 7):
+            if norm.is_rational():
+                break
+            image = norm.galois(t)
+            norm, prod = norm * image, prod * image
+        if not norm.is_rational():
+            raise ArithmeticError(f"norm of {self!r} is not rational")
         return Cyc(
             tuple(c * norm.den for c in prod.num), prod.den * norm.num[0]
         )
@@ -152,7 +174,12 @@ class Cyc:
         return not any(self.num[1:])
 
     def as_fraction(self):
-        assert self.is_rational()
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        # imported here: fractions loads decimal and numbers, which
+        # cost every cold process a few ms that only this method needs
+        from fractions import Fraction
+
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
@@ -167,8 +194,8 @@ class Cyc:
 
     def __repr__(self):
         if self.is_rational():
-            f = self.as_fraction()
-            return str(f)
+            n = self.num[0]
+            return f"{n}/{self.den}" if self.den != 1 else f"{n}"
         terms = []
         for k, c in enumerate(self.num):
             if c:
@@ -198,7 +225,8 @@ def mat_identity(n):
 def mat_mul(a, b):
     n, m = len(a), len(b[0])
     k = len(b)
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {k}x{m}")
     bt = tuple(zip(*b))
     out = []
     for row in a:
@@ -211,10 +239,11 @@ def mat_mul(a, b):
 
 
 def _dot(u, v):
-    acc = ZERO
-    for x, y in zip(u, v):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
+    # the nonzero products summed, with no addition to ZERO
+    terms = [x * y for x, y in zip(u, v) if not (x.is_zero() or y.is_zero())]
+    acc = terms[0] if terms else ZERO
+    for t in terms[1:]:
+        acc = acc + t
     return acc
 
 
@@ -377,6 +406,7 @@ def normalize_point(v):
     a, b = v
     if not a.is_zero():
         return (ONE, b / a)
-    assert not b.is_zero(), "zero vector is not a projective point"
+    if b.is_zero():
+        raise ValueError("zero vector is not a projective point")
     return (ZERO, ONE)
 

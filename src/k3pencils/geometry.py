@@ -98,32 +98,30 @@ def act_line(e, line):
     return transversal_line((P[u1], Q[v1]), (P[u2], Q[v2]))
 
 
-def fix_lines(e):
-    """Lines fixed pointwise (projectively) by a rotation.
+def _fixed_qpoints(elements):
+    """Keys (quadric-point pairs) of the transversal lines the rotations
+    fix pointwise, one per line and element that fixes it.
 
-    Pure elements fix the two ruling lines through the eigenpoints of
-    their nonscalar factor.  For the rest, a 2-dimensional eigenspace
-    of the 4x4 matrix exists for each pairing of the factor eigenvalues
-    with equal products (equal exponent sums mod 24); involutions
-    produce two such lines, elements of projective order 3 or 4 exactly
-    one (the other pairing leaves two isolated fixed points).
+    Only an element with both factors nonscalar fixes a transversal
+    line pointwise; a pure one (one factor +-1) fixes only the ruling
+    lines through the eigenpoints of its other factor.  A 2-dimensional
+    eigenspace of the 4x4 matrix exists for each pairing of the factor
+    eigenvalues with equal products (equal exponent sums mod 24);
+    involutions produce two such lines, elements of projective order 3
+    or 4 exactly one (the other pairing leaves two isolated fixed
+    points).  Each pair is sorted, as in transversal_line (u1 != u2).
     """
     eig = groups.binary_octahedral().eig
-    ep, eq = eig[e.a], eig[e.b]
-    if eq is None:
-        if ep is None:
-            raise ValueError("projectively trivial element fixes all of P^3")
-        return [ruling_line("left", u) for u in ep]
-    if ep is None:
-        return [ruling_line("right", v) for v in eq]
-    (u1, l1), (u2, l2) = ep.items()
-    (v1, m1), (v2, m2) = eq.items()
-    out = []
-    if (l1 + m1 - l2 - m2) % 24 == 0:
-        out.append(transversal_line((u1, v1), (u2, v2)))
-    if (l1 + m2 - l2 - m1) % 24 == 0:
-        out.append(transversal_line((u1, v2), (u2, v1)))
-    return out
+    for a, b in elements:
+        ep, eq = eig[a], eig[b]
+        if ep is None or eq is None:
+            continue
+        (u1, l1), (u2, l2) = ep.items()
+        (v1, m1), (v2, m2) = eq.items()
+        if (l1 + m1 - l2 - m2) % 24 == 0:
+            yield ((u1, v1), (u2, v2)) if u1 < u2 else ((u2, v2), (u1, v1))
+        if (l1 + m2 - l2 - m1) % 24 == 0:
+            yield ((u1, v2), (u2, v1)) if u1 < u2 else ((u2, v1), (u1, v2))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,11 @@ def orbits_on_ruling(g, side):
     table = {}
     for orb in ruling_orbits(g, side, pts):
         orders = {pts[p] for p in orb}
-        assert len(orders) == 1, "fixer order must be constant on an orbit"
+        # conjugate points have conjugate fixers: also under python -O
+        if len(orders) != 1:
+            raise ArithmeticError(f"{g.name} {side} ruling orbit of {orb[0]} "
+                                  f"(length {len(orb)}): fixer orders "
+                                  f"{sorted(orders)}, not one")
         table.setdefault(orders.pop(), []).append(len(orb))
     return {o: sorted(lengths) for o, lengths in sorted(table.items())}
 
@@ -175,9 +177,9 @@ def base_points(degree):
         pts = pure_fix_points(amb, side)
         hits = [o for o in ruling_orbits(amb, side, pts)
                 if len(o) == degree]
-        assert len(hits) == 1, (
-            f"ambient ruling orbit of length {degree} is not unique"
-        )
+        if len(hits) != 1:
+            raise ArithmeticError(f"{amb.name} {side} ruling: {len(hits)} "
+                                  f"orbits of length {degree}, not one")
         sides.append(frozenset(hits[0]))
     return tuple(sides)
 
@@ -194,8 +196,29 @@ def base_locus(degree):
 # line orbits, stabilizers, fix-groups
 
 def line_orbits(pg, lines):
-    return orbit_partition(
-        lines, lambda ln: [act_line(e, ln) for e in pg.generators])
+    """Orbits of the lines under pg, as orbit_partition orders them.
+
+    The walk runs on the lines' fields as plain tuples, which sort as
+    the lines do, moved by the generators' point permutations as in
+    act_line; each Line of an orbit is built once, at the end.
+    """
+    act = groups.binary_octahedral().act
+    perms = [(act[a], act[b]) for a, b in pg.generators]
+
+    def images(fields):
+        kind, side, p, qpoints = fields
+        if qpoints is None:
+            i = side == "right"
+            return [(kind, side, pq[i][p], None) for pq in perms]
+        (u1, v1), (u2, v2) = qpoints
+        out = []
+        for P, Q in perms:
+            x, y = (P[u1], Q[v1]), (P[u2], Q[v2])
+            out.append((kind, None, None, (x, y) if x < y else (y, x)))
+        return out
+
+    orbits = orbit_partition(map(tuple, lines), images)
+    return [[Line._make(f) for f in orb] for orb in orbits]
 
 
 def stabilizer(pg, line):
@@ -234,9 +257,9 @@ def fix_group(pg, line):
 
 
 def line_inventory(pg):
-    """All transversal fix-lines of the group, deduplicated."""
-    lines = {ln for e in pg if not e.is_proj_trivial() for ln in fix_lines(e)}
-    return sorted(ln for ln in lines if ln.kind == "transversal")
+    """All transversal fix-lines of the group, sorted, each built once."""
+    keys = sorted(set(_fixed_qpoints(pg)))
+    return [transversal_line(*qpoints) for qpoints in keys]
 
 
 class FixLineOrbit(NamedTuple):
@@ -363,7 +386,10 @@ def quadric_point_rows(label):
     grouped = {}
     for orb in _point_pair_orbits(pg, pts):
         data = {pts[p] for p in orb}
-        assert len(data) == 1, "mixed stabilizer data inside an orbit"
+        if len(data) != 1:
+            raise ArithmeticError(f"{label} quadric point orbit of {orb[0]} "
+                                  f"(length {len(orb)}): stabilizer data "
+                                  f"{sorted(data)}, not one")
         left_o, right_o, trans_o = data.pop()
         key = (left_o, right_o, trans_o, len(orb))
         grouped[key] = grouped.get(key, 0) + 1

@@ -75,7 +75,10 @@ def binary_octahedral():
     its parent on that spanning tree, so the product table follows from
     the used generators' left permutations.  Factors come in increasing
     trace exponent, so largest orders first: one of order 8 and one of
-    order 6 generate 2O, in 2 x 48 products.  eig2 runs once per +-
+    order 6 generate 2O, in 2 x 48 products.  Each product computes
+    only its first row: every factor, so every element, is an SU(2)
+    matrix ((a, b), (-conj b, conj a)), named by (a, b), and a new
+    element gets its second row by conjugation.  eig2 runs once per +-
     pair, since -m has the eigenpoints of m with exponents + 12.  The
     point action needs no arithmetic: if h fixes p with exponent k, then
     a h a^-1 fixes a.p with exponent k.
@@ -86,6 +89,7 @@ def binary_octahedral():
                   key=lambda m: (TRACE_EXPONENT[m[0][0] + m[1][1]],
                                  flat_key(m)))
     mats, index, tree = [ID2], {ID2: 0}, [None]
+    at_row = {ID2[0]: 0}  # an element's index by its first row
     used, left = [], []  # left[j][x] is the index of used[j] * mats[x]
     for g in gens:
         if g in index:
@@ -96,12 +100,16 @@ def binary_octahedral():
             for j, h in enumerate(used):
                 if len(left[j]) > x:  # filled before g was added
                     continue
-                y = mat_mul(h, m)
-                if y not in index:
-                    index[y] = len(mats)
+                (row,) = mat_mul(h[:1], m)  # the first row of h m
+                if row not in at_row:
+                    if len(mats) == 48:  # a wrong second row never closes
+                        raise ArithmeticError("2O closure passed 48 elements")
+                    a, b = row
+                    y = (row, (-b.conj(), a.conj()))
+                    at_row[row] = index[y] = len(mats)
                     mats.append(y)
                     tree.append((x, j))
-                left[j].append(index[y])
+                left[j].append(at_row[row])
     mul = [tuple(range(len(mats)))]
     for parent, j in tree[1:]:
         mul.append(tuple(left[j][v] for v in mul[parent]))
@@ -293,8 +301,11 @@ class ProjectiveGroup:
 def projectivize(g):
     neg = binary_octahedral().neg
     reps = {}
-    for e in g:  # e.a is canonical: e.proj_key() with one lookup
-        reps.setdefault((e.a, min(e.b, neg[e.b])), e)
+    for e in g:  # a is canonical: (a, b) is e.proj_key() once b is
+        a, b = e
+        if neg[b] < b:
+            b = neg[b]
+        reps.setdefault((a, b), e)
     return ProjectiveGroup(g.name, reps, [reps[x.proj_key()] for x in g.generators])
 
 

@@ -5,7 +5,9 @@ the table-driven code in k3pencils, or as checks the report does not
 need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
 inverses, the breadth-first group closure, normality, conjugation (by a
 rotation or by the factor-swapping reflection) and conjugacy classes.
-Fix groups of lines are found again from the enumerated fix-lines.
+The lines an element fixes are enumerated from the package's key rule;
+fix groups, line inventories and line orbits are found again from them
+and from act_line, and field inverses from all seven Galois conjugates.
 The lattice oracles redo integer determinants and overlattice Gram
 matrices in Fraction arithmetic, and Smith forms from gcds of minors.
 """
@@ -26,7 +28,13 @@ from k3pencils.algebra import (
     nullspace,
     quat_mul,
 )
-from k3pencils.geometry import fix_lines
+from k3pencils.geometry import (
+    _fixed_qpoints,
+    act_line,
+    orbit_partition,
+    ruling_line,
+    transversal_line,
+)
 from k3pencils.groups import (
     Element,
     ProjectiveGroup,
@@ -199,6 +207,51 @@ def bfs_closure(generators):
                     new.append((x, y))
         frontier = new
     return seen
+
+
+def inverse_by_all_conjugates(x):
+    """1 / x as (product of the 7 nontrivial conjugates) / field norm:
+    the reference for the tower inverse of Cyc.inv."""
+    if x.is_zero():
+        raise ZeroDivisionError("division by zero in Q(zeta_24)")
+    prod = ONE
+    for t in (5, 7, 11, 13, 17, 19, 23):
+        prod = prod * x.galois(t)
+    norm = x * prod
+    assert norm.is_rational(), "norm must be rational"
+    return Cyc(tuple(c * norm.den for c in prod.num), prod.den * norm.num[0])
+
+
+def fix_lines(e):
+    """Lines fixed pointwise (projectively) by a rotation.
+
+    Pure elements fix the two ruling lines through the eigenpoints of
+    their nonscalar factor; the others the transversal lines of
+    geometry's key rule.
+    """
+    eig = binary_octahedral().eig
+    ep, eq = eig[e.a], eig[e.b]
+    if eq is None:
+        if ep is None:
+            raise ValueError("projectively trivial element fixes all of P^3")
+        return [ruling_line("left", u) for u in ep]
+    if ep is None:
+        return [ruling_line("right", v) for v in eq]
+    return [transversal_line(*qpoints) for qpoints in _fixed_qpoints([e])]
+
+
+def inventory_by_fix_lines(pg):
+    """The union of fix_lines over pg, transversal lines only: the
+    reference for geometry.line_inventory."""
+    lines = {ln for e in pg if not e.is_proj_trivial() for ln in fix_lines(e)}
+    return sorted(ln for ln in lines if ln.kind == "transversal")
+
+
+def orbits_by_act_line(pg, lines):
+    """Line orbits walked with act_line, a Line built per image: the
+    reference for geometry.line_orbits."""
+    return orbit_partition(
+        lines, lambda ln: [act_line(e, ln) for e in pg.generators])
 
 
 def fix_group_by_lines(pg, line):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from k3pencils.algebra import (
     HALF,
@@ -38,6 +39,7 @@ from exact_oracles import (
     Q3,
     SQRT3,
     eigenspaces,
+    inverse_by_all_conjugates,
     mat_det,
     mat_scale,
     mat_vec,
@@ -126,6 +128,41 @@ class TestFieldArithmetic:
         with pytest.raises(ZeroDivisionError):
             Cyc(ONE.num, 0)
 
+    @seed(31)
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+           st.integers(1, 12))
+    def test_tower_inverse_matches_all_conjugates(self, num, den):
+        # random coordinates: the norm to the real subfield is almost
+        # never rational, so most examples take all three tower steps
+        x = Cyc(tuple(num), den)
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inv()
+        else:
+            assert x.inv() == inverse_by_all_conjugates(x)
+            assert x * x.inv() == ONE
+
+    @pytest.mark.parametrize("x, steps", [
+        (Cyc.rational(-7, 3), 0),
+        (HALF + I * HALF, 1),  # |x|^2 = 1/2, as for every 2O entry
+        (ONE + Cyc.zeta(1), 3),  # 2 + z + 1/z, then 2 - sqrt(3)
+    ], ids=["rational", "rational_abs_square", "three_steps"])
+    def test_tower_inverse_stops_at_a_rational_norm(self, monkeypatch, x,
+                                                     steps):
+        calls = []
+        galois = Cyc.galois
+
+        def counted(self, t):
+            calls.append(t)
+            return galois(self, t)
+
+        monkeypatch.setattr(Cyc, "galois", counted)
+        inverse = x.inv()
+        assert calls == [23, 13, 7][:steps]
+        monkeypatch.undo()
+        assert inverse == inverse_by_all_conjugates(x)
+
     def test_bad_exponents_raise_under_python_O(self):
         # with asserts compiled out, a negative power looped forever
         # (-1 >> 1 == -1) and galois(2) returned a map that is no field
@@ -145,6 +182,28 @@ class TestFieldArithmetic:
             "z -> z^2 is not a field automorphism",
         ]
 
+    @pytest.mark.parametrize("call, error", [
+        # a broken automorphism leaves every norm irrational
+        ("Cyc.galois = lambda self, t: self\nCyc.zeta(1).inv()",
+         "ArithmeticError: norm of (1*z^1) is not rational"),
+        ("SQRT2.as_fraction()",
+         "ValueError: (1*z^1 + 1*z^3 - 1*z^5) is not rational"),
+        ("normalize_point((ZERO, ZERO))",
+         "ValueError: zero vector is not a projective point"),
+        ("mat_mul(((ONE, ONE),), ((ONE, ONE),))",
+         "ValueError: cannot multiply 1x2 by 1x2"),
+    ], ids=["inv_norm", "as_fraction", "normalize_point", "mat_mul_shape"])
+    def test_guards_raise_under_python_O(self, call, error):
+        # each was an assert: under -O, SQRT2.as_fraction() returned 0,
+        # normalize_point((0, 0)) returned (0, 1) and mat_mul zipped
+        # mismatched shapes
+        code = ("from k3pencils.algebra import ONE, SQRT2, ZERO, Cyc, "
+                "mat_mul, normalize_point\n" + call + "\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr.strip().splitlines()[-1] == error
+
     def test_canonical_form_and_hash(self):
         a = Cyc((2, 0, 4, 0, 0, 0, 0, 0), 6)
         b = Cyc((1, 0, 2, 0, 0, 0, 0, 0), 3)
@@ -158,6 +217,19 @@ class TestFieldArithmetic:
         from fractions import Fraction
 
         assert Cyc.rational(7, 3).as_fraction() == Fraction(7, 3)
+        assert Cyc.rational(Fraction(-14, 6)) == Cyc.rational(-7, 3)
+        assert Cyc.rational(Fraction(7, 3), 2) == Cyc.rational(7, 6)
+
+    def test_cold_cli_import_leaves_fractions_unloaded(self):
+        # fractions loads decimal and numbers, 2-3 ms of every cold CLI
+        # process; only as_fraction needs it, and imports it when called
+        code = ("import sys, k3pencils.cli\n"
+                "print(sorted({'fractions', 'decimal', 'numbers'}"
+                " & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # quaternion-coordinate matrices of the generator pairs, as printed
@@ -321,5 +393,5 @@ class TestProjectivePoints:
         assert normalize_point((ZERO, -SQRT3)) == (ZERO, ONE)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             normalize_point((ZERO, ZERO))

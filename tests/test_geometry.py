@@ -34,7 +34,6 @@ from k3pencils.geometry import (
     base_locus,
     base_points,
     fix_group,
-    fix_lines,
     fixlines_table,
     line_inventory,
     line_orbits,
@@ -52,7 +51,14 @@ from k3pencils.geometry import (
 )
 from k3pencils.singularities import offquadric_orbits
 
-from exact_oracles import eigenspaces, fix_group_by_lines, mat_vec
+from exact_oracles import (
+    eigenspaces,
+    fix_group_by_lines,
+    fix_lines,
+    inventory_by_fix_lines,
+    mat_vec,
+    orbits_by_act_line,
+)
 
 # orbit lengths of pure-element fix points, grouped by fixer order,
 # one entry per (group, side)
@@ -226,6 +232,25 @@ class TestFixLines:
         assert l1 in m_lines
 
 
+class TestKeyWalks:
+    """line_inventory and line_orbits against the Line-by-Line walks."""
+
+    @pytest.mark.parametrize("label", GROUP_LABELS)
+    def test_inventory_matches_the_union_of_fix_lines(self, label):
+        pg = pgroup(label)
+        assert line_inventory(pg) == inventory_by_fix_lines(pg)
+
+    @pytest.mark.parametrize("pool", ["base", "inventory"])
+    @pytest.mark.parametrize("label", GROUP_LABELS)
+    def test_orbits_match_the_act_line_walk(self, label, pool):
+        pg = pgroup(label)
+        lines = (base_locus(DEFAULT_DEGREE[label]) if pool == "base"
+                 else line_inventory(pg))
+        orbits = line_orbits(pg, lines)
+        assert orbits == orbits_by_act_line(pg, lines)
+        assert all(type(ln) is Line for orb in orbits for ln in orb)
+
+
 class TestBaseLocus:
     def test_counts(self):
         assert len(base_locus(6)) == 12
@@ -377,6 +402,37 @@ def test_fixlines_checks_survive_python_O(sabotage, message):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ArithmeticError: TxV fix-line row "), last
     assert last.endswith(message), last
+
+
+# the orbit invariants of the ruling and quadric-point tables with
+# asserts compiled out: a fixer order bumped on one point splits its
+# orbit's data, a doubled orbit list gives two base orbits
+RULING_SABOTAGE = (
+    ("geometry.pure_fix_points = lambda g, s, f=geometry.pure_fix_points: "
+     "{p: o + (p == min(f(g, s))) for p, o in f(g, s).items()}\n"
+     "geometry.orbits_on_ruling(geometry.group('TxV'), 'left')",
+     "ArithmeticError: TxV left ruling orbit of 0 (length 6): fixer "
+     "orders [2, 3], not one"),
+    ("geometry.ruling_orbits = lambda g, s, p, f=geometry.ruling_orbits: "
+     "f(g, s, p) * 2\n"
+     "geometry.base_points(6)",
+     "ArithmeticError: TxT left ruling: 2 orbits of length 6, not one"),
+    ("geometry.pure_fix_points = lambda g, s, f=geometry.pure_fix_points: "
+     "{p: o + (p == min(f(g, s))) for p, o in f(g, s).items()}\n"
+     "geometry.quadric_point_rows('TxV')",
+     "ArithmeticError: TxV quadric point orbit of (2, 0) (length 8): "
+     "stabilizer data [(3, 2, 3), (3, 3, 3)], not one"),
+)
+
+
+@pytest.mark.parametrize("sabotage, message", RULING_SABOTAGE,
+                         ids=["fixer_orders", "base_orbits", "quadric_data"])
+def test_orbit_checks_survive_python_O(sabotage, message):
+    code = "from k3pencils import geometry\n%s\n" % sabotage
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.strip().splitlines()[-1] == message
 
 
 MEETING = {

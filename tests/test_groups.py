@@ -1,6 +1,7 @@
 """Group generation, the seven-entry registry, the surface registry and
 subgroup structure."""
 
+import hashlib
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ from k3pencils.algebra import (
     Q2,
     QUAT_ONE,
     ROOTS24,
+    Cyc,
     eig2,
     mat2_conj,
     mat_identity,
@@ -175,6 +177,19 @@ def _exact_closure(label):
     return seen
 
 
+# sha256 of the repr of each field of binary_octahedral(), first 16 hex
+TABLE_DIGESTS = {
+    "mats": "79221aedce3f632f",
+    "index": "9ae318baaa7bd785",
+    "mul": "4a271d13a2a3e8b8",
+    "inv": "771cc9479e2335d8",
+    "neg": "be487d791670866d",
+    "points": "5c5d12193a40b2b1",
+    "act": "69c6bf46f2347bc8",
+    "eig": "ca9d19e74ccc0e1f",
+}
+
+
 class TestOctahedralTable:
     """The index table of 2O against exact algebra."""
 
@@ -262,12 +277,22 @@ class TestOctahedralTable:
             calls["su2_of_quat"] += 1
             return su2_of_quat(x)
 
+        def counted(name):
+            method = getattr(Cyc, name)
+
+            def count(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return count
+
         monkeypatch.setattr(groups, "mat_mul", counted_mat_mul)
         monkeypatch.setattr(groups, "eig2", counted_eig2)
         monkeypatch.setattr(groups, "su2_of_quat", counted_su2_of_quat)
         for module in (algebra, groups):
             monkeypatch.setattr(module, "normalize_point",
                                 counted_normalize_point, raising=False)
+        for name in ("galois", "inv"):
+            monkeypatch.setattr(Cyc, name, counted(name))
         groups._factors.cache_clear()
         t = binary_octahedral.__wrapped__()
         assert len(t.mats) == 48 and len(t.points) == 26
@@ -275,10 +300,38 @@ class TestOctahedralTable:
         assert calls["mat_mul"] <= 96
         assert calls["eig2"] <= 24
         assert calls["normalize_point outside eig2"] == 0
+        # conjugations: 4 x 6 for the generator factors, 2 x 47 for the
+        # second rows of the new elements, and one for each of the 43
+        # inverses that eig2's normalisations take but the 2 rational
+        # ones: every 2O entry has rational |b|^2
+        assert calls["inv"] == 43
+        assert calls["galois"] == 4 * 6 + 2 * 47 + 41
         # and the seven closures convert no generator quaternion again
         for label in GROUP_LABELS:
             generate_group(label, _GENERATOR_PAIRS[label])
         assert calls["su2_of_quat"] == 6
+
+    def test_a_closure_past_48_elements_raises_under_python_O(self):
+        # a new element's second row is conjugated from its first; with
+        # a wrong conjugation the products never close up, and the build
+        # stops at |2O| = 48 instead of growing without end
+        code = ("from k3pencils import groups\n"
+                "from k3pencils.algebra import Cyc\n"
+                "Cyc.conj = lambda self: self\n"
+                "groups.binary_octahedral()\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "ArithmeticError: 2O closure passed 48 elements")
+
+    @pytest.mark.parametrize("field, digest", TABLE_DIGESTS.items(),
+                             ids=list(TABLE_DIGESTS))
+    def test_table_is_the_one_built_by_full_products(self, field, digest):
+        # pinned from the build that multiplied full 2x2 matrices and
+        # inverted through all seven Galois conjugates
+        value = repr(getattr(binary_octahedral(), field))
+        assert hashlib.sha256(value.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("label", GROUP_LABELS)
     def test_closure_matches_exact_search(self, label):

@@ -389,16 +389,14 @@ def eig2(m):
     k = TRACE_EXPONENT.get(m[0][0] + m[1][1])
     if k is None:
         raise ValueError("eigenvalue outside mu_24")
-    return tuple((ROOTS24[j], _eigvec2(m, ROOTS24[j])) for j in (k, 24 - k))
-
-
-def _eigvec2(m, lam):
+    lams = (ROOTS24[k], ROOTS24[24 - k])
     (a, b), (c, d) = m
-    if not b.is_zero() or not (lam - a).is_zero():
-        v = (b, lam - a)
-    else:
-        v = (lam - d, c)
-    return normalize_point(v)
+    if not b.is_zero():  # (b, lam - a) for both: one inverse of b
+        ib = b.inv()
+        return tuple((lam, (ONE, (lam - a) * ib)) for lam in lams)
+    # lower triangular: (0, 1) for lam = d, (lam - d, c) for lam = a
+    return tuple((lam, normalize_point((lam - d, c)) if (lam - a).is_zero()
+                  else (ZERO, ONE)) for lam in lams)
 
 
 def normalize_point(v):

@@ -9,7 +9,7 @@ import sys
 
 from .config import ConfigError, parse_config
 from .geometry import fixlines_table, orbits_on_ruling, quadric_point_rows
-from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, group
+from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, Surface, group
 from .lattices import (
     adjoin_class,
     discriminant,
@@ -67,12 +67,13 @@ def cmd_fixlines(args):
 
 def cmd_sing(args):
     _check_label(args.group, "singular loci")
+    smooth = Surface(args.group, DEFAULT_DEGREE[args.group])
     print("# points on the quadric")
-    for row in quadric_point_rows(args.group):
+    for row in quadric_point_rows(smooth):
         print("Z%dxZ%d  length %d  orbits %d" % (
             row.fix + (row.length, row.number)))
     print("# points off the quadric")
-    for row, n in offquadric_orbits(args.group, "smooth"):
+    for row, n in offquadric_orbits(smooth):
         print("%-4s o=%d  length %d  orbits %d" % (
             row.type_tag, row.order, row.ratio, n))
     print("# nodes of the singular members")
@@ -86,13 +87,12 @@ def cmd_sing(args):
 
 def cmd_nu(args):
     _check_label(args.group, "curve counts")
-    if args.fiber == "smooth":
-        fibers = ["smooth", 1, 2, 3, 4]
-    else:
-        fibers = [int(args.fiber)]
+    fibers = ([None, 1, 2, 3, 4] if args.fiber == "smooth"
+              else [int(args.fiber)])
     for fiber in fibers:
-        n1, n2, n3, n4, n = nu_totals(args.group, fiber)
-        tag = fiber if fiber == "smooth" else "lambda%d" % fiber
+        surface = Surface(args.group, DEFAULT_DEGREE[args.group], fiber)
+        n1, n2, n3, n4, n = nu_totals(surface)
+        tag = "smooth" if fiber is None else "lambda%d" % fiber
         print("%-8s nu1 %2d  nu2 %2d  nu3 %2d  nu4 %2d  total %2d" % (
             tag, n1, n2, n3, n4, n))
     return 0

@@ -10,7 +10,7 @@ Keys reuse the dataset section ids (sec3 ... sec8) so a report cell
 can always be traced back to one table of one section.
 """
 
-from .groups import AMBIENT, SURFACES
+from .groups import AMBIENT, SURFACES, Surface
 
 TABLE_IDS = (
     "sec3.subgroups",
@@ -23,8 +23,10 @@ TABLE_IDS = (
     "sec8.discs",
 )
 
-# the six pencil groups, in the order of the printed tables
-GROUP_ORDER = tuple(g for g, d in SURFACES.values() if g != AMBIENT[d])
+# the six pencil surfaces (smooth members) and groups, in printed order
+PENCIL_SURFACES = tuple(Surface(g, d) for g, d in SURFACES.values()
+                        if g != AMBIENT[d])
+GROUP_ORDER = tuple(s.label for s in PENCIL_SURFACES)
 
 # sec3.subgroups: label -> (order, ambient label, index in the ambient)
 SUBGROUPS = {
@@ -182,7 +184,7 @@ NODES = {
 }
 
 # sec6.nu, smooth members: label -> (nu1, nu2, nu3, nu)
-# ("-" cells are zero); SMOOTH_DISC holds their printed discriminants
+# ("-" cells are zero); PRINTED_DISC holds their printed discriminants
 SMOOTH_NU = {
     "TxV": (4, 12, 3, 19),
     "TT1": (2, 0, 15, 17),
@@ -190,15 +192,6 @@ SMOOTH_NU = {
     "OxT": (3, 9, 7, 19),
     "OO2": (2, 2, 14, 18),
     "TxT": (4, 4, 10, 18),
-}
-
-SMOOTH_DISC = {
-    "TxV": 2**5 * 3**3 * 5,
-    "TT1": 2**3 * 3**6 * 5,
-    "VxV": 2**13 * 5,
-    "OxT": 2**5 * 3**3 * 7,
-    "OO2": -(2**8) * 3**2 * 7,
-    "TxT": -(2**2) * 3**6 * 7,
 }
 
 # sec6.nu, singular members: (label, fiber) -> (nu3, nu4, nu)
@@ -236,32 +229,45 @@ SINGULAR_NU_FIXES = {
     ("OO2", 1): (2, 14, 20),
 }
 
-SINGULAR_DISC = {
-    ("TxV", 1): -(2**4) * 3**3 * 5,
-    ("TxV", 2): -(2**6) * 3**3 * 5,
-    ("TxV", 3): -(2**6) * 3**3 * 5,
-    ("TxV", 4): -(2**4) * 3**3 * 5,
-    ("TT1", 1): -(3**3) * 5,
-    ("TT1", 2): -(2**6) * 3**3 * 5,
-    ("TT1", 3): -(2**4) * 3**6 * 5,
-    ("TT1", 4): -(2**2) * 3**6 * 5,
-    ("VxV", 1): -(2**10) * 5,
-    ("VxV", 2): -(2**16) * 5,
-    ("VxV", 3): -(2**16) * 5,
-    ("VxV", 4): -(2**10) * 5,
-    ("OxT", 1): -(2**4) * 3**2 * 7,
-    ("OxT", 2): -(2**4) * 3**3 * 7,
-    ("OxT", 3): -(2**5) * 3**3 * 7,
-    ("OxT", 4): -(2**6) * 3**2 * 7,
-    ("OO2", 1): -(2**4) * 7,
-    ("OO2", 2): 2**7 * 3**2 * 7,
-    ("OO2", 3): 2**8 * 3**2 * 7,
-    ("OO2", 4): -(2**8) * 7,
-    ("TxT", 1): -(3**4) * 7,
-    ("TxT", 2): 2**2 * 3**6 * 7,
-    ("TxT", 3): 2**3 * 3**6 * 7,
-    ("TxT", 4): -(2**4) * 3**4 * 7,
-}
+class _PrintedDiscs(dict):
+    def __missing__(self, context):
+        raise ValueError(f"no printed discriminant for {context!r}")
+
+
+# sec8.discs: the printed lattice discriminant d(W) of each pencil member
+# by context ("T_L", "T_L@6,k"); a context with none raises ValueError
+PRINTED_DISC = _PrintedDiscs({
+    "T_L": 2**5 * 3**3 * 5,
+    "T_L@6,1": -(2**4) * 3**3 * 5,
+    "T_L@6,2": -(2**6) * 3**3 * 5,
+    "T_L@6,3": -(2**6) * 3**3 * 5,
+    "T_L@6,4": -(2**4) * 3**3 * 5,
+    "T_M": 2**3 * 3**6 * 5,
+    "T_M@6,1": -(3**3) * 5,
+    "T_M@6,2": -(2**6) * 3**3 * 5,
+    "T_M@6,3": -(2**4) * 3**6 * 5,
+    "T_M@6,4": -(2**2) * 3**6 * 5,
+    "T_Lbar": 2**13 * 5,
+    "T_Lbar@6,1": -(2**10) * 5,
+    "T_Lbar@6,2": -(2**16) * 5,
+    "T_Lbar@6,3": -(2**16) * 5,
+    "T_Lbar@6,4": -(2**10) * 5,
+    "O_L": 2**5 * 3**3 * 7,
+    "O_L@8,1": -(2**4) * 3**2 * 7,
+    "O_L@8,2": -(2**4) * 3**3 * 7,
+    "O_L@8,3": -(2**5) * 3**3 * 7,
+    "O_L@8,4": -(2**6) * 3**2 * 7,
+    "O_M": -(2**8) * 3**2 * 7,
+    "O_M@8,1": -(2**4) * 7,
+    "O_M@8,2": 2**7 * 3**2 * 7,
+    "O_M@8,3": 2**8 * 3**2 * 7,
+    "O_M@8,4": -(2**8) * 7,
+    "O_Lbar": -(2**2) * 3**6 * 7,
+    "O_Lbar@8,1": -(3**4) * 7,
+    "O_Lbar@8,2": 2**2 * 3**6 * 7,
+    "O_Lbar@8,3": 2**3 * 3**6 * 7,
+    "O_Lbar@8,4": -(2**4) * 3**4 * 7,
+})
 
 
 def _pairs_config(pairs, class_name, signs=None):
@@ -381,7 +387,7 @@ DIVISIBLE_CLASSES = (
 )
 
 # sec8.discs: (context, disc after adjoining, index chain); d(W), the
-# context's SMOOTH_/SINGULAR_DISC, is disc(after) * (prod ps)^2 here.
+# context's PRINTED_DISC, is disc(after) * (prod ps)^2 here.
 DISC_DROPS = (
     ("T_L", 2 * 3 * 5, (3, 2, 2)),
     ("O_L", 2**3 * 3 * 7, (2, 3)),
@@ -413,7 +419,7 @@ COMPONENT_DISCS = (
 )
 
 # per-surface factor tables: context -> ((component label, disc), ...).
-# The blocks multiply to the context's SMOOTH_DISC in every row.
+# The blocks multiply to the context's PRINTED_DISC in every row.
 COMPONENT_TABLES = (
     ("T_L", (("L", -(2**2) * 3**3 * 5), ("M", -(2**3)))),
     ("T_M", (("L", -5), ("M", -(2**3)), ("N", 3**6))),

@@ -28,7 +28,7 @@ from typing import NamedTuple
 # the benchmark tracer spans every function one module imports from
 # another, which would put a span on each lookup
 from . import groups
-from .groups import AMBIENT, DEFAULT_DEGREE, group, pgroup
+from .groups import AMBIENT, group, pgroup
 
 ORDER_TAGS = {2: "M", 3: "N", 4: "R"}
 
@@ -312,12 +312,9 @@ def fixlines_table(label):
 
 def meeting_point_orbits(pg, left_lines, right_lines):
     """Orbit-length multiset of pairwise intersections of ruling lines."""
-    for ln in left_lines:
-        if ln.kind != "ruling" or ln.side != "left":
-            raise ValueError("left_lines must be left-ruling lines")
-    for ln in right_lines:
-        if ln.kind != "ruling" or ln.side != "right":
-            raise ValueError("right_lines must be right-ruling lines")
+    for side, lines in (("left", left_lines), ("right", right_lines)):
+        if any(ln.side != side for ln in lines):  # transversal: side None
+            raise ValueError(f"{side}_lines must be {side}-ruling lines")
     points = {(l.point, r.point) for l in left_lines for r in right_lines}
     return sorted(len(o) for o in _point_pair_orbits(pg, points))
 
@@ -361,17 +358,17 @@ class QuadricPointRow(NamedTuple):
 
 
 @cache
-def quadric_point_rows(label):
+def quadric_point_rows(surface):
     """Orbits of (pure fix point) x (base point) pairs on the quadric.
 
     These are the quadric points of the base-locus lines with extra
     stabilizer; the factor transversal to the base line drives the
     quotient singularity.  The base lines are those of the pencil of
-    degree DEFAULT_DEGREE[label].
+    the surface's degree; its fiber plays no part.
     """
-    g = group(label)
-    pg = pgroup(label)
-    bl, br = base_points(DEFAULT_DEGREE[label])
+    g = group(surface.label)
+    pg = pgroup(surface.label)
+    bl, br = base_points(surface.degree)
     fixl = pure_fix_points(g, "left")
     fixr = pure_fix_points(g, "right")
     pts = {}
@@ -387,7 +384,7 @@ def quadric_point_rows(label):
     for orb in _point_pair_orbits(pg, pts):
         data = {pts[p] for p in orb}
         if len(data) != 1:
-            raise ArithmeticError(f"{label} quadric point orbit of {orb[0]} "
+            raise ArithmeticError(f"{g.name} quadric point orbit of {orb[0]} "
                                   f"(length {len(orb)}): stabilizer data "
                                   f"{sorted(data)}, not one")
         left_o, right_o, trans_o = data.pop()
@@ -401,13 +398,12 @@ def quadric_point_rows(label):
 
 
 @cache
-def nu1(label):
+def nu1(surface):
     """Number of base-locus line orbits under the projective group."""
-    return len(line_orbits(pgroup(label), base_locus(DEFAULT_DEGREE[label])))
+    return len(line_orbits(pgroup(surface.label), base_locus(surface.degree)))
 
 
-def nu2(label):
-    return sum(
-        r.number * (r.transversal_order - 1) for r in quadric_point_rows(label)
-    )
+def nu2(surface):
+    return sum(r.number * (r.transversal_order - 1)
+               for r in quadric_point_rows(surface))
 

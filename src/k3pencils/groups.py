@@ -359,11 +359,27 @@ SURFACES = {"T_L": ("TxV", 6), "T_M": ("TT1", 6), "T_Lbar": ("VxV", 6),
             "O_L": ("OxT", 8), "O_M": ("OO2", 8), "O_Lbar": ("TxT", 8),
             "Y_TT": (AMBIENT[6], 6), "Y_OO": (AMBIENT[8], 8)}
 
-# the degree each group covers: a pencil group's, else its ambient one
+# the CLI's degree for a bare group label: its pencil's, else its ambient
 DEFAULT_DEGREE = {g: d for d, g in AMBIENT.items()} | {
     g: d for g, d in SURFACES.values() if g != AMBIENT[d]}
 
-Surface = namedtuple("Surface", "label degree fiber")
+
+class Surface(namedtuple("Surface", "label degree fiber")):
+    """One member of the degree-n pencil modulo a group: fiber None is
+    the smooth member, 1..4 a singular one.  Only pencil groups have node
+    data, so Y_TT and Y_OO take no fiber.  Checked also under python -O."""
+
+    __slots__ = ()
+
+    def __new__(cls, label, degree, fiber=None):
+        if (label, degree) not in SURFACES.values():
+            raise ValueError(f"no surface {label!r} at degree {degree!r}")
+        if not (fiber is None or type(fiber) is int and 1 <= fiber <= 4):
+            raise ValueError(f"fiber must be None or 1..4, got {fiber!r}")
+        if fiber is not None and AMBIENT[degree] == label:
+            raise ValueError(f"ambient {label} at degree {degree} has no"
+                             f" node data: no fiber {fiber}")
+        return super().__new__(cls, label, degree, fiber)
 
 
 def surface(context):

@@ -16,7 +16,7 @@ from functools import cache
 
 from . import data
 from .geometry import fixlines_table, nu1, nu2, points_off_quadric
-from .groups import DEFAULT_DEGREE, pgroup
+from .groups import pgroup
 from .lattices import ADEType, _integer
 
 _POLYHEDRAL = {"T": 12, "O": 24, "I": 60}
@@ -246,27 +246,25 @@ def _nodes_per_line(label, record):
     return k_of
 
 
-def offquadric_orbits(label, fiber):
+def offquadric_orbits(surface):
     """(fixlines_table row, orbits left on it) pairs, in table order.
 
-    fiber is "smooth" or a lambda index 1..4 of the pencil of degree
-    DEFAULT_DEGREE[label].  A transversal fix-line L carries m base
-    points off the quadric; each of the k nodes of the member on L is a
+    A transversal fix-line L carries m base points of the surface's
+    pencil off the quadric; each of the k nodes of the member on L is a
     double point of the intersection and takes two.  H_L/F_L acts
     freely on the m - 2k left, so they fall into (m - 2k)/|H_L/F_L|
     orbits, each the image of one A_{o(L)-1} point.  The smooth member
-    has no nodes; a singular one has those of node_records.
+    (fiber None) has no nodes; a singular one has those of node_records.
     """
-    if fiber == "smooth":
+    label, degree, fiber = surface
+    if fiber is None:
         where, k_of = "%s smooth" % label, {}
-    elif fiber in (1, 2, 3, 4):
+    else:
         where = "%s lambda%d" % (label, fiber)
         k_of = _nodes_per_line(label, node_records(label)[fiber - 1])
-    else:
-        raise ValueError("fiber must be 'smooth' or 1..4, got %r" % (fiber,))
     out = []
     for row in fixlines_table(label):
-        m = points_off_quadric(row.rep, DEFAULT_DEGREE[label])
+        m = points_off_quadric(row.rep, degree)
         k = k_of.get(row, 0)
         left = m - 2 * k
         if left < 0 or left % row.ratio:
@@ -278,19 +276,21 @@ def offquadric_orbits(label, fiber):
     return tuple(out)
 
 
-def nu_totals(label, fiber):
-    """The curve-count vector (nu1, nu2, nu3, nu4, nu) for one fiber.
+def nu_totals(surface):
+    """The curve-count vector (nu1, nu2, nu3, nu4, nu) of one surface.
 
-    fiber is "smooth" or a lambda index 1..4, as in offquadric_orbits.
-    The nodes of a singular fiber are those of data.NODES, looked up by
-    the group label.
+    The nodes of a singular member are those of data.NODES, looked up
+    by the group label.  nu1 and nu2 count curves over the base locus,
+    the same on every member, so they are taken on the smooth one.
     """
-    n3 = sum(n * (row.order - 1) for row, n in offquadric_orbits(label, fiber))
-    n1, n2 = nu1(label), nu2(label)
-    if fiber == "smooth":
+    label, degree, fiber = surface
+    n3 = sum(n * (row.order - 1) for row, n in offquadric_orbits(surface))
+    smooth = surface._replace(fiber=None)
+    n1, n2 = nu1(smooth), nu2(smooth)
+    if fiber is None:
         return (n1, n2, n3, 0, n1 + n2 + n3)
     record = node_records(label)[fiber - 1]
-    if record.node_count != NODE_COUNTS[DEFAULT_DEGREE[label]][fiber - 1]:
+    if record.node_count != NODE_COUNTS[degree][fiber - 1]:
         raise ValueError("node count does not match the pencil degree")
     if (record.orbit_count * pgroup(label).order()
             != record.node_count * record.fix_group.so3_order):

@@ -24,15 +24,7 @@ from .geometry import (
     orbits_on_ruling,
     quadric_point_rows,
 )
-from .groups import (
-    DEFAULT_DEGREE,
-    GROUP_LABELS,
-    group,
-    index,
-    is_subgroup,
-    pgroup,
-    surface,
-)
+from .groups import GROUP_LABELS, Surface, group, index, is_subgroup, pgroup
 from .lattices import (
     ADEType,
     ade_lattice,
@@ -112,8 +104,8 @@ def _build_rulings():
 
 
 def _build_meeting():
-    for label in data.GROUP_ORDER:
-        lines = base_locus(DEFAULT_DEGREE[label])
+    for label, degree, _ in data.PENCIL_SURFACES:
+        lines = base_locus(degree)
         left = [ln for ln in lines if ln.side == "left"]
         right = [ln for ln in lines if ln.side == "right"]
         got = meeting_point_orbits(pgroup(label), left, right)
@@ -155,10 +147,11 @@ def _build_fixlines():
 
 
 def _build_sing():
-    for label in data.GROUP_ORDER:
+    for smooth in data.PENCIL_SURFACES:
+        label = smooth.label
         printed = [r for r in data.QUADRIC_POINTS if r[0] == label]
         printed.sort(key=lambda r: (r[3], r[4], r[2]))
-        computed = sorted(quadric_point_rows(label),
+        computed = sorted(quadric_point_rows(smooth),
                           key=lambda c: (c.length, c.number,
                                          "Z%dxZ%d" % c.fix))
         yield "%s.quadric.rows" % label, len(printed), len(computed)
@@ -172,7 +165,7 @@ def _build_sing():
                 yield (prefix + ".sing", r[5],
                        _sing_str(c.number, sing, keep_one=True))
 
-        orbits = offquadric_orbits(label, "smooth")
+        orbits = offquadric_orbits(smooth)
         for (grp, o), m in data.OFFQUADRIC_COUNTS.items():
             if grp != label:
                 continue
@@ -209,7 +202,7 @@ def _build_sing():
         for rec in node_records(label):
             ns, orbits, fix, _meeting, sing = data.NODES[(label, rec.fiber)]
             prefix = "%s.l%d" % (label, rec.fiber)
-            got_ns = NODE_COUNTS[DEFAULT_DEGREE[label]][rec.fiber - 1]
+            got_ns = NODE_COUNTS[smooth.degree][rec.fiber - 1]
             yield prefix + ".ns", ns, got_ns
             # orbit-stabilizer: each orbit holds |PH| / |F| of the nodes
             num = got_ns * rec.fix_group.so3_order
@@ -222,9 +215,9 @@ def _build_sing():
 
 
 def _build_nu():
-    for label in data.GROUP_ORDER:
+    for label, degree, _ in data.PENCIL_SURFACES:
         n1, n2, n3, n = data.SMOOTH_NU[label]
-        got = nu_totals(label, "smooth")
+        got = nu_totals(Surface(label, degree))
         prefix = "%s.smooth" % label
         yield prefix + ".nu1", n1, got[0]
         yield prefix + ".nu2", n2, got[1]
@@ -232,7 +225,7 @@ def _build_nu():
         yield prefix + ".nu", n, got[4]
         for fiber in (1, 2, 3, 4):
             n3, n4, n = data.SINGULAR_NU[(label, fiber)]
-            got = nu_totals(label, fiber)
+            got = nu_totals(Surface(label, degree, fiber))
             prefix = "%s.l%d" % (label, fiber)
             yield prefix + ".nu3", n3, got[2]
             yield prefix + ".nu4", n4, got[3]
@@ -260,24 +253,14 @@ def _ade_sum(text):
     return lat
 
 
-def _printed_disc(context):
-    # SMOOTH_DISC and SINGULAR_DISC are keyed by pencil group alone, at
-    # its own degree: Y_TT (TxT at degree 6) is not O_Lbar's TxT
-    label, degree, fiber = surface(context)
-    if degree != DEFAULT_DEGREE[label] or label not in data.GROUP_ORDER:
-        raise ValueError(f"no printed discriminant for {context!r}")
-    return (data.SMOOTH_DISC[label] if fiber is None
-            else data.SINGULAR_DISC[(label, fiber)])
-
-
 def _build_discs():
     for name, disc in data.COMPONENT_DISCS:
         yield "blocks.%s" % name, disc, discriminant(_ade_sum(name))
     for ctx, blocks in data.COMPONENT_TABLES:
-        yield ("factors.%s" % ctx, _printed_disc(ctx),
+        yield ("factors.%s" % ctx, data.PRINTED_DISC[ctx],
                prod(d for _, d in blocks))
     for ctx, d_w2, ps in data.DISC_DROPS:
-        d_w, sq = _printed_disc(ctx), prod(ps) ** 2
+        d_w, sq = data.PRINTED_DISC[ctx], prod(ps) ** 2
         got = d_w // sq if d_w % sq == 0 else "index does not divide"
         yield "%s.after" % ctx, d_w2, got
 

@@ -30,10 +30,10 @@ from k3pencils.groups import (
     AMBIENT,
     DEFAULT_DEGREE,
     GROUP_LABELS,
+    Surface,
     group,
     index,
     pgroup,
-    surface,
 )
 from k3pencils.lattices import (
     ADEType,
@@ -199,9 +199,10 @@ def test_criterion_04_fixline_tables():
 def test_criterion_05_singularity_cells():
     mismatches = []
     for label in PENCIL_GROUPS:
+        smooth = Surface(label, DEFAULT_DEGREE[label])
         want = sorted(r[5] for r in data.QUADRIC_POINTS if r[0] == label)
         got = []
-        for row in quadric_point_rows(label):
+        for row in quadric_point_rows(smooth):
             ade = quadric_point_singularity(row.transversal_order)
             got.append(_sing(row.number, ade, keep_one=True))
         if sorted(got) != want:
@@ -212,7 +213,7 @@ def test_criterion_05_singularity_cells():
         want = sorted(r[5] for r in data.OFFQUADRIC_ROWS if r[0] == label
                       for _ in range(mult_of.get(r[1], 1)))
         got = sorted(_sing(n, ADEType("A", row.order - 1))
-                     for row, n in offquadric_orbits(label, "smooth"))
+                     for row, n in offquadric_orbits(smooth))
         if got != want:
             mismatches.append("%s off-quadric sing %r != %r"
                               % (label, got, want))
@@ -244,7 +245,8 @@ def test_criterion_06_nu_tables_as_printed():
     """
     mismatches = []
     for label in PENCIL_GROUPS:
-        n1, n2, n3, n4, n = nu_totals(label, "smooth")
+        degree = DEFAULT_DEGREE[label]
+        n1, n2, n3, n4, n = nu_totals(Surface(label, degree))
         if (n1, n2, n3, n) != data.SMOOTH_NU[label]:
             mismatches.append("%s smooth (%d,%d,%d,%d) != %r"
                               % (label, n1, n2, n3, n,
@@ -252,7 +254,7 @@ def test_criterion_06_nu_tables_as_printed():
         if n4 != 0:
             mismatches.append("%s smooth nu4 = %d" % (label, n4))
         for fiber in (1, 2, 3, 4):
-            got = nu_totals(label, fiber)[2:]
+            got = nu_totals(Surface(label, degree, fiber))[2:]
             want = data.SINGULAR_NU[(label, fiber)]
             if got != want:
                 mismatches.append(
@@ -273,9 +275,7 @@ def test_criterion_07_discriminant_index_identities():
     seen = set()
     for ctx, dW2, ps in data.DISC_DROPS:
         # d(W) is the printed discriminant of the member ctx names
-        label, _degree, fiber = surface(ctx)
-        dW = (data.SMOOTH_DISC[label] if fiber is None
-              else data.SINGULAR_DISC[(label, fiber)])
+        dW = data.PRINTED_DISC[ctx]
         if not index_formula_check(dW, dW2, ps):
             mismatches.append("%s: %d != %d * %r^2" % (ctx, dW, dW2, ps))
         seen.add((dW, dW2, tuple(ps)))

@@ -322,14 +322,17 @@ OPTIMIZED_CASES = (
      "ZeroDivisionError"),
     ("from k3pencils.singularities import NodeOrbitRecord; "
      "NodeOrbitRecord('TxV', 7, 12, 1, 'id')", "ValueError"),
-    ("from k3pencils.singularities import nu_totals; "
-     "nu_totals('TxV', 7)", "ValueError"),
+    ("from k3pencils.groups import Surface; Surface('TxV', 6, 7)",
+     "ValueError: fiber must be None or 1..4, got 7"),
+    # node data exist only for the pencil groups, not the ambient ones
+    ("from k3pencils.groups import surface; surface('Y_TT@6,1')",
+     "ValueError: ambient TxT at degree 6 has no node data: no fiber 1"),
     ("from k3pencils.lattices import is_p_divisible; "
      "is_p_divisible(None, None, 5)", "ValueError"),
     # the printed discriminants are those of the six pencil surfaces
-    ("from k3pencils.tables import _printed_disc; _printed_disc('Y_TT')",
+    ("from k3pencils.data import PRINTED_DISC; PRINTED_DISC['Y_TT']",
      "ValueError: no printed discriminant for 'Y_TT'"),
-    ("from k3pencils.tables import _printed_disc; _printed_disc('Y_OO')",
+    ("from k3pencils.data import PRINTED_DISC; PRINTED_DISC['Y_OO']",
      "ValueError: no printed discriminant for 'Y_OO'"),
 )
 

@@ -21,12 +21,14 @@ from k3pencils.groups import (
     DEFAULT_DEGREE,
     GROUP_LABELS,
     Element,
+    Surface,
     binary_octahedral,
     generate_group,
     group,
     pgroup,
     point_coords,
     projectivize,
+    surface,
 )
 from k3pencils.geometry import (
     Line,
@@ -292,9 +294,9 @@ class TestFixLineTables:
         with pytest.raises(AttributeError):
             row.rep.type_tag = "R"
         with pytest.raises(AttributeError):
-            quadric_point_rows("OxT")[0].number = 0
+            quadric_point_rows(Surface("OxT", 8))[0].number = 0
         with pytest.raises(TypeError):
-            offquadric_orbits("OxT", "smooth")[0] = None
+            offquadric_orbits(Surface("OxT", 8))[0] = None
 
     def test_orbit_stabilizer_identity(self):
         pg = pgroup("TT1")
@@ -419,7 +421,7 @@ RULING_SABOTAGE = (
      "ArithmeticError: TxT left ruling: 2 orbits of length 6, not one"),
     ("geometry.pure_fix_points = lambda g, s, f=geometry.pure_fix_points: "
      "{p: o + (p == min(f(g, s))) for p, o in f(g, s).items()}\n"
-     "geometry.quadric_point_rows('TxV')",
+     "geometry.quadric_point_rows(geometry.groups.Surface('TxV', 6))",
      "ArithmeticError: TxV quadric point orbit of (2, 0) (length 8): "
      "stabilizer data [(3, 2, 3), (3, 3, 3)], not one"),
 )
@@ -535,7 +537,7 @@ class TestSingularLoci:
         assert DEFAULT_DEGREE[label] == degree
         got = sorted(
             (r.fix, r.length, r.number, r.transversal_order)
-            for r in quadric_point_rows(label)
+            for r in quadric_point_rows(Surface(label, degree))
         )
         assert got == sorted(QUADRIC_ROWS[(label, degree)])
 
@@ -544,7 +546,7 @@ class TestSingularLoci:
         assert DEFAULT_DEGREE[label] == degree
         got = sorted(
             (r.type_tag, r.order, r.ratio, n)
-            for r, n in offquadric_orbits(label, "smooth")
+            for r, n in offquadric_orbits(Surface(label, degree))
         )
         assert got == sorted(OFFQUADRIC_ROWS[(label, degree)])
 
@@ -558,10 +560,17 @@ class TestSingularLoci:
             "TxT": (4, 4, 10),
         }
         for label, (n1, n2, n3) in expected.items():
-            assert nu1(label) == n1
-            assert nu2(label) == n2
+            smooth = Surface(label, DEFAULT_DEGREE[label])
+            assert nu1(smooth) == n1
+            assert nu2(smooth) == n2
             assert sum(n * (r.order - 1) for r, n in
-                       offquadric_orbits(label, "smooth")) == n3
+                       offquadric_orbits(smooth)) == n3
+
+    def test_ambient_quotient_rows(self):
+        # Y_OO, OxO over the degree-8 base locus: reached through its
+        # Surface, with no degree looked up by label
+        rows = quadric_point_rows(surface("Y_OO"))
+        assert [r.length for r in rows] == [96, 96, 48, 48]
 
 
 class TestLineActions:

@@ -34,6 +34,7 @@ from k3pencils.groups import (
     GROUP_LABELS,
     SURFACES,
     Element,
+    Surface,
     binary_octahedral,
     flat_key,
     generate_group,
@@ -111,7 +112,8 @@ class TestSurfaces:
     def test_every_data_context_resolves(self):
         contexts = ({c for c, *_ in data.DIVISIBLE_CLASSES}
                     | {c for c, *_ in data.DISC_DROPS}
-                    | {c for c, *_ in data.COMPONENT_TABLES})
+                    | {c for c, *_ in data.COMPONENT_TABLES}
+                    | set(data.PRINTED_DISC))
         for ctx in contexts:
             label, degree, fiber = surface(ctx)
             assert label in GROUP_LABELS, ctx
@@ -137,6 +139,30 @@ class TestSurfaces:
         assert surface("T_M@6,2").fiber == 2
         with pytest.raises(AttributeError):
             surface("T_L").label = "TxT"
+
+    def test_printed_discs_name_the_thirty_pencil_members(self):
+        members = {Surface(label, degree, fiber)
+                   for label, degree, _ in data.PENCIL_SURFACES
+                   for fiber in (None, 1, 2, 3, 4)}
+        assert {surface(ctx) for ctx in data.PRINTED_DISC} == members
+        assert len(data.PRINTED_DISC) == 30
+
+    def test_ambient_surfaces_take_no_fiber(self):
+        # node data exist only for the pencil groups: TxT's are O_Lbar's
+        # at degree 8, not Y_TT's at degree 6
+        assert Surface("TxT", 8, 1) == surface("O_Lbar@8,1")
+        for ctx in ("Y_TT@6,1", "Y_OO@8,4"):
+            with pytest.raises(ValueError, match="no node data"):
+                surface(ctx)
+        with pytest.raises(ValueError,
+                           match="ambient TxT at degree 6 has no node data"):
+            Surface("TxT", 6, 1)
+
+    def test_pairs_outside_the_registry_raise(self):
+        assert Surface("TxV", 6) == ("TxV", 6, None)
+        for label, degree in (("TxV", 8), ("XxX", 6), ("OxO", 6)):
+            with pytest.raises(ValueError, match="no surface"):
+                Surface(label, degree)
 
     def test_bad_contexts_raise_under_python_O(self):
         code = ("from k3pencils.groups import surface\n"
@@ -300,12 +326,14 @@ class TestOctahedralTable:
         assert calls["mat_mul"] <= 96
         assert calls["eig2"] <= 24
         assert calls["normalize_point outside eig2"] == 0
-        # conjugations: 4 x 6 for the generator factors, 2 x 47 for the
-        # second rows of the new elements, and one for each of the 43
-        # inverses that eig2's normalisations take but the 2 rational
-        # ones: every 2O entry has rational |b|^2
-        assert calls["inv"] == 43
-        assert calls["galois"] == 4 * 6 + 2 * 47 + 41
+        # eig2 takes one inverse per nonscalar +- pair: of b, shared by
+        # both eigenvectors, or of lam - d on the 3 diagonal pairs.
+        # Conjugations: 4 x 6 for the generator factors, 2 x 47 for the
+        # second rows of the new elements, and one for each of the 23
+        # inverses but the rational one: every 2O entry has rational
+        # |b|^2
+        assert calls["inv"] == 23
+        assert calls["galois"] == 4 * 6 + 2 * 47 + 22
         # and the seven closures convert no generator quaternion again
         for label in GROUP_LABELS:
             generate_group(label, _GENERATOR_PAIRS[label])

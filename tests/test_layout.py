@@ -47,15 +47,21 @@ def _public_definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
+def _read_names(tree):
+    """Names a module loads, reads as an attribute or imports."""
+    read = _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.asname or node.name)
+    return read
+
+
 def _unread_public_names():
     read = set()
     for tree in _trees(*READERS).values():
-        read |= _loaded_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.asname or node.name)
+        read |= _read_names(tree)
     return {name: path.name
             for path, tree in _trees(PACKAGE).items()
             for name in _public_definitions(tree) if name not in read}
@@ -90,3 +96,11 @@ def test_public_names_have_a_reader():
     assert {n: m for n, m in unread.items() if n not in ALLOWED_UNREAD} == {}
     # an entry whose name gained a reader, or is gone, leaves the list
     assert set(ALLOWED_UNREAD) == set(unread)
+
+
+def test_default_degree_is_read_by_groups_and_cli_only():
+    # per-surface functions take a Surface, which carries its degree;
+    # only the CLI reads a bare group label at a default degree
+    readers = {path.stem for path, tree in _trees(PACKAGE).items()
+               if "DEFAULT_DEGREE" in _read_names(tree)}
+    assert readers - {"groups", "cli"} == set()

@@ -4,7 +4,7 @@ import pytest
 
 from k3pencils import data
 from k3pencils.geometry import fixlines_table, quadric_point_rows
-from k3pencils.groups import pgroup
+from k3pencils.groups import Surface, pgroup, surface
 from k3pencils.lattices import ADEType
 from k3pencils.singularities import (
     BinaryGroupClass,
@@ -198,12 +198,12 @@ class TestFixlineColumns:
 
 def _quadric_cells(label):
     return ["%d%s" % (r.number, quadric_point_singularity(r.transversal_order))
-            for r in quadric_point_rows(label)]
+            for r in quadric_point_rows(Surface(label, DEGREES[label]))]
 
 
 def _offquadric_cells(label):
     return ["%d%s" % (n, ADEType("A", r.order - 1))
-            for r, n in offquadric_orbits(label, "smooth")]
+            for r, n in offquadric_orbits(Surface(label, DEGREES[label]))]
 
 
 class TestSingularityReports:
@@ -226,9 +226,10 @@ class TestOffquadricOrbits:
     def test_nodes_only_take_points(self, label):
         # row for row in fixlines_table order, each singular count
         # between 0 and the smooth one
-        smooth = [n for _, n in offquadric_orbits(label, "smooth")]
+        degree = DEGREES[label]
+        smooth = [n for _, n in offquadric_orbits(Surface(label, degree))]
         for fiber in (1, 2, 3, 4):
-            pairs = offquadric_orbits(label, fiber)
+            pairs = offquadric_orbits(Surface(label, degree, fiber))
             assert [r for r, _ in pairs] == list(fixlines_table(label))
             assert all(0 <= n <= s for (_, n), s in zip(pairs, smooth))
 
@@ -238,20 +239,22 @@ class TestOffquadricOrbits:
         assert empty == [("TT1", 3), ("TxT", 3), ("TxV", 2), ("TxV", 3),
                          ("VxV", 2), ("VxV", 3)]
         for label, fiber in empty:
-            assert offquadric_orbits(label, fiber) == \
-                offquadric_orbits(label, "smooth")
+            assert offquadric_orbits(Surface(label, DEGREES[label], fiber)) \
+                == offquadric_orbits(Surface(label, DEGREES[label]))
 
     def test_oo2_lambda1(self):
         # the recomputed nu3 = 2 of the known OO2 lambda1 deviation
         got = [(r.type_tag, r.length, n)
-               for r, n in offquadric_orbits("OO2", 1)]
+               for r, n in offquadric_orbits(Surface("OO2", 8, 1))]
         assert got == [("M", 72, 2), ("N", 16, 0), ("N", 16, 0),
                        ("R", 18, 0)]
 
     def test_invalid_fiber(self):
-        for fiber in (0, 5, "1", None):
+        # the Surface refuses it before any count is taken; 1.0 and
+        # True compare equal to 1 but are no member index
+        for fiber in (0, 5, "1", "smooth", 1.0, True):
             with pytest.raises(ValueError, match="fiber must be"):
-                offquadric_orbits("TxV", fiber)
+                offquadric_orbits(Surface("TxV", 6, fiber))
 
 
 SMOOTH_NU = {
@@ -280,11 +283,22 @@ SINGULAR_NU = {
 class TestNuTotals:
     @pytest.mark.parametrize("label", sorted(SMOOTH_NU))
     def test_smooth(self, label):
-        assert nu_totals(label, "smooth") == SMOOTH_NU[label]
+        assert nu_totals(Surface(label, DEGREES[label])) == SMOOTH_NU[label]
 
     @pytest.mark.parametrize("label", sorted(SINGULAR_NU))
     def test_singular_fibers(self, label):
         n1, n2 = SMOOTH_NU[label][:2]
         for fiber in (1, 2, 3, 4):
             n3, n4, nu = SINGULAR_NU[label][fiber - 1]
-            assert nu_totals(label, fiber) == (n1, n2, n3, n4, nu)
+            got = nu_totals(Surface(label, DEGREES[label], fiber))
+            assert got == (n1, n2, n3, n4, nu)
+
+    @pytest.mark.parametrize("context, want", [
+        ("Y_TT", (2, 8, 9, 0, 19)),
+        ("Y_OO", (2, 8, 9, 0, 19)),
+        ("O_Lbar", SMOOTH_NU["TxT"]),
+    ])
+    def test_surfaces_by_context(self, context, want):
+        # TxT is O_Lbar at degree 8 and Y_TT at degree 6: each surface
+        # carries its own degree, with no module global overwritten
+        assert nu_totals(surface(context)) == want

@@ -8,6 +8,7 @@ import pytest
 
 from k3pencils import data
 from k3pencils.config import ConfigError, emit_config, parse_config
+from k3pencils.groups import Surface
 from k3pencils.singularities import nu_totals
 from k3pencils.tables import (
     KNOWN_DEVIATIONS,
@@ -197,7 +198,7 @@ class TestRunVerification:
         assert not any(r.key.startswith("TxV.M") for r in results)
         # the node incidences name those columns: nu cannot place them
         with pytest.raises(ValueError, match="TxV lambda1"):
-            nu_totals("TxV", 1)
+            nu_totals(Surface("TxV", 6, 1))
 
     def test_unknown_scope(self):
         with pytest.raises(ValueError, match="unknown table"):

@@ -19,8 +19,8 @@ from .lattices import (
     is_p_divisible,
     nikulin_count_check,
 )
-from .singularities import binary_quotient_type, node_records, \
-    nu_totals, offquadric_orbits
+from .singularities import binary_quotient, node_records, nu_totals, \
+    offquadric_orbits
 from .tables import emit_report, group_registry, run_verification, tally
 
 
@@ -78,10 +78,10 @@ def cmd_sing(args):
             row.type_tag, row.order, row.ratio, n))
     print("# nodes of the singular members")
     for rec in node_records(args.group):
-        t = binary_quotient_type(rec.fix_group)
+        _order, t = binary_quotient(rec.fix_group)
         print("lambda%d  ns %d  orbits %d  F %s  sing %d x %s" % (
             rec.fiber, rec.node_count, rec.orbit_count,
-            rec.fix_group.label, rec.orbit_count, t))
+            rec.fix_group, rec.orbit_count, t))
     return 0
 
 

@@ -21,7 +21,7 @@ and fix groups are lookups there and sums of eigenvalue exponents mod
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, wraps
 from typing import NamedTuple
 
 # the table is read as groups.binary_octahedral(), not imported by name:
@@ -343,6 +343,23 @@ def points_off_quadric(line, degree):
 # ---------------------------------------------------------------------------
 # quadric-point singular loci (base lines crossed by other fix points)
 
+def _per_pencil(fn):
+    """fn(surface) cached once per (label, degree).
+
+    The value depends on the surface's pencil only, so the five members
+    of one pencil share one entry, the smooth member's; cache_info
+    reports on that cache.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def on_pencil(surface):
+        return cached(surface._replace(fiber=None))
+
+    on_pencil.cache_info = cached.cache_info
+    return on_pencil
+
+
 class QuadricPointRow(NamedTuple):
     """Aggregated orbits of quadric fix-points on the base locus."""
 
@@ -357,7 +374,7 @@ class QuadricPointRow(NamedTuple):
                 f"number={self.number})")
 
 
-@cache
+@_per_pencil
 def quadric_point_rows(surface):
     """Orbits of (pure fix point) x (base point) pairs on the quadric.
 
@@ -397,7 +414,7 @@ def quadric_point_rows(surface):
     return tuple(rows)
 
 
-@cache
+@_per_pencil
 def nu1(surface):
     """Number of base-locus line orbits under the projective group."""
     return len(line_orbits(pgroup(surface.label), base_locus(surface.degree)))

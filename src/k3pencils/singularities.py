@@ -19,87 +19,30 @@ from .geometry import fixlines_table, nu1, nu2, points_off_quadric
 from .groups import pgroup
 from .lattices import ADEType, _integer
 
-_POLYHEDRAL = {"T": 12, "O": 24, "I": 60}
+# fix groups named without a parameter; the others are Zn and Dn
+_UNPARAMETRIZED = {"id": (1, ADEType("A", 1)), "T": (12, ADEType("E", 6)),
+                   "O": (24, ADEType("E", 7)), "I": (60, ADEType("E", 8))}
+_CYCLIC_DIHEDRAL = re.compile(r"([ZD])([1-9][0-9]*)")
 
 
-class BinaryGroupClass(namedtuple("BinaryGroupClass", "kind n")):
-    """Conjugacy class of a finite rotation group, by its usual name.
+def binary_quotient(label):
+    """(|F|, Dynkin type of C^2/F~) for the rotation group F of a label.
 
-    kind is one of "id", "Z", "D", "T", "O", "I"; n carries the cyclic
-    or dihedral parameter and is 0 otherwise.  D_2 and Z_2 x Z_2 name
-    the same class and compare equal.
+    The McKay correspondence: the binary covers of Zn, Dn, T, O, I give
+    A_{2n-1}, D_{n+2}, E6, E7, E8.  A node with trivial stabilizer (id)
+    stays an ordinary double point, A1.  Any other label, Z1 and D1
+    included, raises ValueError.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, kind, n=0):
-        if kind in ("id",) + tuple(_POLYHEDRAL):
-            if n:
-                raise ValueError("%s takes no parameter" % kind)
-        elif kind == "Z":
-            if n < 2:
-                raise ValueError("cyclic class needs n >= 2")
-        elif kind == "D":
-            if n < 2:
-                raise ValueError("dihedral class needs n >= 2")
-        else:
-            raise ValueError("unknown rotation-group kind %r" % (kind,))
-        return super().__new__(cls, kind, int(n))
-
-    @classmethod
-    def parse(cls, label):
-        s = label.strip()
-        if s in ("id", "1"):
-            return cls("id")
-        if s in _POLYHEDRAL:
-            return cls(s)
-        if s == "Z2xZ2":
-            return cls("D", 2)
-        for kind in ("Z", "D"):
-            if s.startswith(kind):
-                try:
-                    return cls(kind, int(s[1:]))
-                except ValueError:
-                    break
+    if isinstance(label, str) and label in _UNPARAMETRIZED:
+        return _UNPARAMETRIZED[label]
+    m = isinstance(label, str) and _CYCLIC_DIHEDRAL.fullmatch(
+        "D2" if label == "Z2xZ2" else label)
+    if not m or int(m[2]) < 2:
         raise ValueError("unknown rotation-group label %r" % (label,))
-
-    @property
-    def so3_order(self):
-        if self.kind == "id":
-            return 1
-        if self.kind == "Z":
-            return self.n
-        if self.kind == "D":
-            return 2 * self.n
-        return _POLYHEDRAL[self.kind]
-
-    @property
-    def label(self):
-        if self.kind == "id":
-            return "id"
-        if self.kind == "Z":
-            return "Z%d" % self.n
-        if self.kind == "D":
-            return "Z2xZ2" if self.n == 2 else "D%d" % self.n
-        return self.kind
-
-    def __repr__(self):
-        return "BinaryGroupClass.parse(%r)" % self.label
-
-
-def binary_quotient_type(f):
-    """C^2 modulo the binary cover of f, as a Dynkin symbol.
-
-    A node with trivial stabilizer stays an ordinary double point, so
-    the trivial class maps to A1.
-    """
-    if f.kind == "id":
-        return ADEType("A", 1)
-    if f.kind == "Z":
-        return ADEType("A", 2 * f.n - 1)
-    if f.kind == "D":
-        return ADEType("D", f.n + 2)
-    return ADEType("E", {"T": 6, "O": 7, "I": 8}[f.kind])
+    n = int(m[2])
+    if m[1] == "Z":
+        return n, ADEType("A", 2 * n - 1)
+    return 2 * n, ADEType("D", n + 2)
 
 
 def quadric_point_singularity(a):
@@ -116,20 +59,21 @@ def quadric_point_singularity(a):
 
 class NodeOrbitRecord(namedtuple(
         "NodeOrbitRecord", "group fiber node_count orbit_count fix_group"
-                           " meeting_lines line_incidences")):
+                           " line_incidences")):
     """Ingested invariants of the nodes of one singular pencil member.
 
     node_count and fix_group come from the classical description of the
-    pencils; line_incidences holds (fix-line columns, lines of those
-    columns through each node) pairs that structure the free-text
-    meeting_lines annotation.
+    pencils; fix_group is the label data.NODES prints, which
+    binary_quotient must know.  line_incidences holds (fix-line columns,
+    lines of those columns through each node) pairs parsed from the
+    meeting-lines annotation.
     """
 
     __slots__ = ()
 
     def __new__(cls, group, fiber, node_count, orbit_count, fix_group,
-                meeting_lines="", line_incidences=()):
-        if fiber not in (1, 2, 3, 4):
+                line_incidences=()):
+        if not (type(fiber) is int and 1 <= fiber <= 4):
             raise ValueError("fiber must be 1..4, got %r" % (fiber,))
         node_count = _integer(node_count, "node count")
         orbit_count = _integer(orbit_count, "orbit count")
@@ -137,16 +81,14 @@ class NodeOrbitRecord(namedtuple(
             raise ValueError("node and orbit counts must be positive")
         if node_count % orbit_count:
             raise ValueError("orbit count must divide node count")
-        if not isinstance(fix_group, BinaryGroupClass):
-            fix_group = BinaryGroupClass.parse(fix_group)
+        binary_quotient(fix_group)
         return super().__new__(cls, group, fiber, node_count, orbit_count,
-                               fix_group, meeting_lines,
-                               tuple(line_incidences))
+                               fix_group, tuple(line_incidences))
 
     def __repr__(self):
         return "NodeOrbitRecord(%r, %d, ns=%d, orbits=%d, F=%s)" % (
             self.group, self.fiber, self.node_count, self.orbit_count,
-            self.fix_group.label)
+            self.fix_group)
 
 
 # nodes on the four singular members of the degree-n pencil
@@ -211,10 +153,9 @@ def node_records(label):
     out = []
     for fiber in (1, 2, 3, 4):
         ns, orbits, fix, meeting, _sing = data.NODES[(label, fiber)]
-        incidences = parse_meeting_lines(label, meeting)
         try:
             out.append(NodeOrbitRecord(label, fiber, ns, orbits, fix,
-                                       meeting, incidences))
+                                       parse_meeting_lines(label, meeting)))
         except ValueError as exc:
             raise ValueError("%s lambda%d: %s" % (label, fiber, exc)) from None
     return tuple(out)
@@ -281,22 +222,21 @@ def nu_totals(surface):
 
     The nodes of a singular member are those of data.NODES, looked up
     by the group label.  nu1 and nu2 count curves over the base locus,
-    the same on every member, so they are taken on the smooth one.
+    the same on every member of the pencil.
     """
     label, degree, fiber = surface
     n3 = sum(n * (row.order - 1) for row, n in offquadric_orbits(surface))
-    smooth = surface._replace(fiber=None)
-    n1, n2 = nu1(smooth), nu2(smooth)
+    n1, n2 = nu1(surface), nu2(surface)
     if fiber is None:
         return (n1, n2, n3, 0, n1 + n2 + n3)
     record = node_records(label)[fiber - 1]
     if record.node_count != NODE_COUNTS[degree][fiber - 1]:
         raise ValueError("node count does not match the pencil degree")
-    if (record.orbit_count * pgroup(label).order()
-            != record.node_count * record.fix_group.so3_order):
+    order, sing = binary_quotient(record.fix_group)
+    if record.orbit_count * pgroup(label).order() != record.node_count * order:
         raise ValueError("%s lambda%d: orbit count %d of %d nodes with"
                          " F = %s breaks orbit-stabilizer" % (
                              label, fiber, record.orbit_count,
-                             record.node_count, record.fix_group.label))
-    n4 = record.orbit_count * binary_quotient_type(record.fix_group).rank
+                             record.node_count, record.fix_group))
+    n4 = record.orbit_count * sing.rank
     return (n1, n2, n3, n4, n1 + n2 + n3 + n4)

@@ -37,7 +37,7 @@ from .lattices import (
 )
 from .singularities import (
     NODE_COUNTS,
-    binary_quotient_type,
+    binary_quotient,
     fixline_columns,
     node_records,
     nu_totals,
@@ -205,13 +205,13 @@ def _build_sing():
             got_ns = NODE_COUNTS[smooth.degree][rec.fiber - 1]
             yield prefix + ".ns", ns, got_ns
             # orbit-stabilizer: each orbit holds |PH| / |F| of the nodes
-            num = got_ns * rec.fix_group.so3_order
+            order, node_sing = binary_quotient(rec.fix_group)
+            num = got_ns * order
             yield (prefix + ".orbits", orbits,
                    num // ph if num % ph == 0 else "%d/%d" % (num, ph))
-            yield prefix + ".F", fix, rec.fix_group.label
+            yield prefix + ".F", fix, rec.fix_group
             yield (prefix + ".sing", sing,
-                   _sing_str(rec.orbit_count,
-                             binary_quotient_type(rec.fix_group)))
+                   _sing_str(rec.orbit_count, node_sing))
 
 
 def _build_nu():

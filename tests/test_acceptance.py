@@ -51,7 +51,7 @@ from k3pencils.lattices import (
     smith_normal_form,
 )
 from k3pencils.singularities import (
-    binary_quotient_type,
+    binary_quotient,
     node_records,
     nu_totals,
     offquadric_orbits,
@@ -221,7 +221,7 @@ def test_criterion_05_singularity_cells():
         for rec in node_records(label):
             want_sing = data.NODES[(label, rec.fiber)][4]
             got_sing = _sing(rec.orbit_count,
-                             binary_quotient_type(rec.fix_group))
+                             binary_quotient(rec.fix_group)[1])
             if got_sing != want_sing:
                 mismatches.append("%s lambda%d sing %s != %s"
                                   % (label, rec.fiber, got_sing, want_sing))

@@ -322,6 +322,11 @@ OPTIMIZED_CASES = (
      "ZeroDivisionError"),
     ("from k3pencils.singularities import NodeOrbitRecord; "
      "NodeOrbitRecord('TxV', 7, 12, 1, 'id')", "ValueError"),
+    ("from k3pencils.singularities import NodeOrbitRecord; "
+     "NodeOrbitRecord('TxV', True, 12, 1, 'id')",
+     "ValueError: fiber must be 1..4, got True"),
+    ("from k3pencils.singularities import binary_quotient; "
+     "binary_quotient('Z1')", "ValueError: unknown rotation-group label 'Z1'"),
     ("from k3pencils.groups import Surface; Surface('TxV', 6, 7)",
      "ValueError: fiber must be None or 1..4, got 7"),
     # node data exist only for the pencil groups, not the ambient ones

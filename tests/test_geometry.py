@@ -572,6 +572,22 @@ class TestSingularLoci:
         rows = quadric_point_rows(surface("Y_OO"))
         assert [r.length for r in rows] == [96, 96, 48, 48]
 
+    def test_pencil_members_share_one_cache_entry(self):
+        smooth = Surface("OxT", 8)
+        assert quadric_point_rows(smooth._replace(fiber=3)) \
+            is quadric_point_rows(smooth)
+        # in a fresh process the five TxV members miss once, hit four times
+        code = ("from k3pencils.geometry import nu1, quadric_point_rows\n"
+                "from k3pencils.groups import Surface\n"
+                "for fn in (quadric_point_rows, nu1):\n"
+                "    for fiber in (None, 1, 2, 3, 4):\n"
+                "        fn(Surface('TxV', 6, fiber))\n"
+                "    info = fn.cache_info()\n"
+                "    print(info.hits, info.misses, info.currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.stdout.splitlines() == ["4 1 1", "4 1 1"], proc.stderr
+
 
 class TestLineActions:
     def test_act_preserves_kind(self):

@@ -7,9 +7,8 @@ from k3pencils.geometry import fixlines_table, quadric_point_rows
 from k3pencils.groups import Surface, pgroup, surface
 from k3pencils.lattices import ADEType
 from k3pencils.singularities import (
-    BinaryGroupClass,
     NodeOrbitRecord,
-    binary_quotient_type,
+    binary_quotient,
     fixline_columns,
     node_records,
     nu_totals,
@@ -53,32 +52,28 @@ class TestADEType:
             == [ADEType("A", 7), ADEType("D", 5), ADEType("E", 6)]
 
 
-class TestBinaryGroupClass:
+class TestFixGroupLabels:
     def test_parse_and_orders(self):
         cases = {
             "id": 1, "Z2": 2, "Z3": 3, "Z4": 4,
             "Z2xZ2": 4, "D3": 6, "T": 12, "O": 24, "I": 60,
         }
         for label, order in cases.items():
-            cls = BinaryGroupClass.parse(label)
-            assert cls.so3_order == order
-            assert cls.label == label
+            assert binary_quotient(label)[0] == order
+        # every fix group data.NODES prints is among them
+        assert {row[2] for row in data.NODES.values()} <= set(cases)
 
     def test_d2_is_klein_four(self):
-        assert BinaryGroupClass("D", 2) == BinaryGroupClass.parse("Z2xZ2")
-        assert BinaryGroupClass("D", 2).label == "Z2xZ2"
+        assert binary_quotient("Z2xZ2") == binary_quotient("D2") \
+            == (4, ADEType("D", 4))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BinaryGroupClass("Z", 1)
-        with pytest.raises(ValueError):
-            BinaryGroupClass("D", 1)
-        with pytest.raises(ValueError):
-            BinaryGroupClass("T", 3)
-        with pytest.raises(ValueError):
-            BinaryGroupClass.parse("Q8")
-        with pytest.raises(ValueError):
-            BinaryGroupClass.parse("Zx")
+        # Z1 and D1 are not written so; "1" is no alias of id; the
+        # parameter is not truncated
+        for label in ("Q8", "Zx", "Z1", "D1", "T3", "Z2.5", "", "1", "Z02",
+                      " T", "Z2xZ3", 2, None):
+            with pytest.raises(ValueError, match="rotation-group label"):
+                binary_quotient(label)
 
 
 class TestBinaryQuotientType:
@@ -88,21 +83,25 @@ class TestBinaryQuotientType:
             ("Z2", ADEType("A", 3)),
             ("Z3", ADEType("A", 5)),
             ("Z4", ADEType("A", 7)),
+            ("Z5", ADEType("A", 9)),
+            ("Z6", ADEType("A", 11)),
             ("Z2xZ2", ADEType("D", 4)),
+            ("D2", ADEType("D", 4)),
             ("D3", ADEType("D", 5)),
+            ("D4", ADEType("D", 6)),
+            ("D5", ADEType("D", 7)),
             ("T", ADEType("E", 6)),
             ("O", ADEType("E", 7)),
             ("I", ADEType("E", 8)),
         ]
         for label, expect in cases:
-            assert binary_quotient_type(
-                BinaryGroupClass.parse(label)) == expect
+            assert binary_quotient(label)[1] == expect
 
     def test_rank_vs_binary_order(self):
         # for cyclic F the resolution has |F~| - 1 curves
         for n in range(2, 7):
-            f = BinaryGroupClass("Z", n)
-            assert binary_quotient_type(f).rank == 2 * f.so3_order - 1
+            order, sing = binary_quotient("Z%d" % n)
+            assert sing.rank == 2 * order - 1
 
 
 class TestPointClassifiers:
@@ -132,13 +131,14 @@ class TestNodeDataset:
         ph = pgroup(label).order()
         assert [r.node_count for r in recs] == list(ns)
         for r in recs:
-            assert r.orbit_count * ph == r.node_count * r.fix_group.so3_order
+            order = binary_quotient(r.fix_group)[0]
+            assert r.orbit_count * ph == r.node_count * order
 
     @pytest.mark.parametrize("label", sorted(EXPECTED_NODE_SING))
     def test_node_singularity_cells(self, label):
         got = []
         for rec in node_records(label):
-            count, t = rec.orbit_count, binary_quotient_type(rec.fix_group)
+            count, t = rec.orbit_count, binary_quotient(rec.fix_group)[1]
             got.append(str(t) if count == 1 else "%d%s" % (count, t))
         assert got == EXPECTED_NODE_SING[label]
 
@@ -147,6 +147,15 @@ class TestNodeDataset:
             NodeOrbitRecord("TxV", 1, 12, 5, "id")
         with pytest.raises(ValueError):
             NodeOrbitRecord("TxV", 1, 12, 1, "Q8")
+        # the fiber is an int 1..4: 1.0 and True would pass as 1
+        for fiber in (1.0, True, 0, 5):
+            with pytest.raises(ValueError, match="fiber"):
+                NodeOrbitRecord("TxV", fiber, 12, 1, "id")
+        # the fix group keeps its printed label
+        rec = NodeOrbitRecord("TxV", 1, 12, 1, "Z2xZ2")
+        assert rec.fix_group == "Z2xZ2"
+        assert repr(rec) == \
+            "NodeOrbitRecord('TxV', 1, ns=12, orbits=1, F=Z2xZ2)"
         # counts are positive integers: no division by zero, no
         # fractional or negative orbits
         for ns, orbits in ((12, 0), (12, 1.5), (12, -3), (-12, 1)):

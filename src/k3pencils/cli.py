@@ -9,7 +9,7 @@ import sys
 
 from .config import ConfigError, parse_config
 from .geometry import fixlines_table, orbits_on_ruling, quadric_point_rows
-from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, Surface, group
+from .groups import AMBIENT, DEFAULT_DEGREE, GROUP_LABELS, Surface, pgroup
 from .lattices import (
     adjoin_class,
     discriminant,
@@ -46,10 +46,10 @@ def cmd_groups(args):
 
 def cmd_orbits(args):
     _check_label(args.group)
-    g = group(args.group)
+    pg = pgroup(args.group)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     for side in sides:
-        table = orbits_on_ruling(g, side)
+        table = orbits_on_ruling(pg, side)
         cells = ["%d: %s" % (o, " ".join(str(n) for n in table[o]))
                  for o in sorted(table)]
         print("%s %-5s  %s" % (args.group, side, "   ".join(cells)))

@@ -28,7 +28,7 @@ from typing import NamedTuple
 # the benchmark tracer spans every function one module imports from
 # another, which would put a span on each lookup
 from . import groups
-from .groups import AMBIENT, group, pgroup
+from .groups import AMBIENT, pgroup
 
 ORDER_TAGS = {2: "M", 3: "N", 4: "R"}
 
@@ -111,13 +111,13 @@ def _fixed_qpoints(elements):
     or 4 exactly one (the other pairing leaves two isolated fixed
     points).  Each pair is sorted, as in transversal_line (u1 != u2).
     """
-    eig = groups.binary_octahedral().eig
+    items = groups.binary_octahedral().eig_items
     for a, b in elements:
-        ep, eq = eig[a], eig[b]
+        ep, eq = items[a], items[b]
         if ep is None or eq is None:
             continue
-        (u1, l1), (u2, l2) = ep.items()
-        (v1, m1), (v2, m2) = eq.items()
+        (u1, l1), (u2, l2) = ep
+        (v1, m1), (v2, m2) = eq
         if (l1 + m1 - l2 - m2) % 24 == 0:
             yield ((u1, v1), (u2, v2)) if u1 < u2 else ((u2, v2), (u1, v1))
         if (l1 + m2 - l2 - m1) % 24 == 0:
@@ -141,12 +141,13 @@ def pure_fix_points(g, side):
     it}; these are the points whose ruling lines are fixed by g-elements
     acting trivially on the other ruling.
     """
-    eig = groups.binary_octahedral().eig
+    table = groups.binary_octahedral()
+    eig, order = table.eig, table.proj_order
     pts = {}
-    for e in g:
-        m, other = (e.a, e.b) if side == "left" else (e.b, e.a)
-        if eig[m] is not None and eig[other] is None:
-            o = e.proj_order()
+    for a, b in g:
+        m, other = (a, b) if side == "left" else (b, a)
+        o = order[m]
+        if o > 1 and order[other] == 1:  # pure: only m acts
             for pt in eig[m]:
                 if pts.get(pt, 0) < o:
                     pts[pt] = o
@@ -171,7 +172,7 @@ def orbits_on_ruling(g, side):
 @cache
 def base_points(degree):
     """The n base points in each ruling (frozenset pair, left/right)."""
-    amb = group(AMBIENT[degree])
+    amb = pgroup(AMBIENT[degree])
     sides = []
     for side in ("left", "right"):
         pts = pure_fix_points(amb, side)
@@ -198,27 +199,39 @@ def base_locus(degree):
 def line_orbits(pg, lines):
     """Orbits of the lines under pg, as orbit_partition orders them.
 
-    The walk runs on the lines' fields as plain tuples, which sort as
-    the lines do, moved by the generators' point permutations as in
-    act_line; each Line of an orbit is built once, at the end.
+    Each kind of line (left ruling, right ruling, transversal) is walked
+    on bare keys: a point, or the indices (u1, v1, u2, v2) of the sorted
+    quadric points, moved by the generators' point permutations as in
+    act_line; keys sort as their lines do.  An orbit holds the caller's
+    own Line objects, and builds only the lines not among them.
     """
     act = groups.binary_octahedral().act
     perms = [(act[a], act[b]) for a, b in pg.generators]
 
-    def images(fields):
-        kind, side, p, qpoints = fields
-        if qpoints is None:
-            i = side == "right"
-            return [(kind, side, pq[i][p], None) for pq in perms]
-        (u1, v1), (u2, v2) = qpoints
+    def transversal(key):
+        u1, v1, u2, v2 = key
         out = []
         for P, Q in perms:
-            x, y = (P[u1], Q[v1]), (P[u2], Q[v2])
-            out.append((kind, None, None, (x, y) if x < y else (y, x)))
+            x, y = P[u1], P[u2]  # u1 != u2, so x != y
+            out.append((x, Q[v1], y, Q[v2]) if x < y
+                       else (y, Q[v2], x, Q[v1]))
         return out
 
-    orbits = orbit_partition(map(tuple, lines), images)
-    return [[Line._make(f) for f in orb] for orb in orbits]
+    moves = {"left": lambda p: [P[p] for P, _ in perms],
+             "right": lambda p: [Q[p] for _, Q in perms],
+             None: transversal}
+    own = {}  # side -> {key: the caller's line}
+    for ln in lines:
+        key = ln.point if ln.side else ln.qpoints[0] + ln.qpoints[1]
+        own.setdefault(ln.side, {}).setdefault(key, ln)
+    orbits = []
+    for side, by_key in own.items():
+        for orb in orbit_partition(by_key, moves[side]):
+            orbits.append([by_key[k] if k in by_key
+                           else ruling_line(side, k) if side
+                           else transversal_line(k[:2], k[2:]) for k in orb])
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    return orbits
 
 
 def stabilizer(pg, line):
@@ -259,7 +272,8 @@ def fix_group(pg, line):
 def line_inventory(pg):
     """All transversal fix-lines of the group, sorted, each built once."""
     keys = sorted(set(_fixed_qpoints(pg)))
-    return [transversal_line(*qpoints) for qpoints in keys]
+    return [Line._make(("transversal", None, None, qpoints))
+            for qpoints in keys]
 
 
 class FixLineOrbit(NamedTuple):
@@ -383,11 +397,10 @@ def quadric_point_rows(surface):
     quotient singularity.  The base lines are those of the pencil of
     the surface's degree; its fiber plays no part.
     """
-    g = group(surface.label)
     pg = pgroup(surface.label)
     bl, br = base_points(surface.degree)
-    fixl = pure_fix_points(g, "left")
-    fixr = pure_fix_points(g, "right")
+    fixl = pure_fix_points(pg, "left")
+    fixr = pure_fix_points(pg, "right")
     pts = {}
     for u, o in fixl.items():
         if u not in bl:
@@ -401,7 +414,7 @@ def quadric_point_rows(surface):
     for orb in _point_pair_orbits(pg, pts):
         data = {pts[p] for p in orb}
         if len(data) != 1:
-            raise ArithmeticError(f"{g.name} quadric point orbit of {orb[0]} "
+            raise ArithmeticError(f"{pg.name} quadric point orbit of {orb[0]} "
                                   f"(length {len(orb)}): stabilizer data "
                                   f"{sorted(data)}, not one")
         left_o, right_o, trans_o = data.pop()

@@ -53,7 +53,9 @@ class OctahedralTable(NamedTuple):
     order, so index tuples sort as coordinate tuples do; act[a][p] is the
     image of point p under mats[a].  eig[a] maps the fixed points of a
     nonscalar mats[a], in increasing k, to the exponent k of its
-    eigenvalue zeta_24^k there; None for +-1.
+    eigenvalue zeta_24^k there; None for +-1.  eig_items[a] holds the
+    same (point, k) pairs as a tuple, and proj_order[a] is the order of
+    mats[a] on P^1 (1 for +-1).
     """
 
     mats: tuple
@@ -64,6 +66,8 @@ class OctahedralTable(NamedTuple):
     points: tuple
     act: tuple
     eig: tuple
+    eig_items: tuple
+    proj_order: tuple
 
 
 @cache
@@ -145,6 +149,11 @@ def binary_octahedral():
                         for h, k in map(witness.get, range(len(points))))
                   for a in range(len(mats))),
         eig=tuple(eig),
+        eig_items=tuple(e and tuple(e.items()) for e in eig),
+        # a factor with eigenvalues zeta_24^(+-k) turns P^1 by
+        # zeta_24^(2k), of order 24 / gcd(24, 2k)
+        proj_order=tuple(24 // gcd(24, 2 * next(iter(e.values()))) if e
+                         else 1 for e in eig),
     )
 
 
@@ -221,11 +230,8 @@ class Element(namedtuple("Element", "a b")):
         raise AssertionError("rotation order exceeds 24")
 
     def proj_order(self):
-        # a nonscalar factor with eigenvalues zeta_24^(+-k) turns P^1
-        # by zeta_24^(2k), of order 24 / gcd(24, 2k)
-        eig = binary_octahedral().eig
-        return lcm(*(24 // gcd(24, 2 * next(iter(eig[x].values())))
-                     if eig[x] else 1 for x in (self.a, self.b)))
+        order = binary_octahedral().proj_order
+        return lcm(order[self.a], order[self.b])
 
 
 class Group:
@@ -247,7 +253,7 @@ class Group:
         return f"Group({self.name!r}, order={self.order()})"
 
 
-def generate_group(name, generators):
+def generate_group(name, generators, projective=False):
     """Close a generator list under multiplication (Dimino's algorithm).
 
     Elements are index pairs into the 2O table taken modulo the joint
@@ -255,15 +261,23 @@ def generate_group(name, generators):
     a generator adds right cosets H r of the group H closed so far, one
     product per element (Butler, Fundamental Algorithms for Permutation
     Groups, 1991): each new r is a known coset's r times a generator.
+    With projective, the factors' signs are independent: the pairs are
+    proj_keys, the closure the image in PGL_2 x PGL_2 (at most 576).
     """
     gens = [g if isinstance(g, Element) else Element.from_quats(*g)
             for g in generators]
     table = binary_octahedral()
     mul, neg = table.mul, table.neg
+    if projective:
+        gens = [Element._make(g.proj_key()) for g in gens]
 
     def times(p, q):  # the canonical pair of the product p q
         x, y = mul[p[0]][q[0]], mul[p[1]][q[1]]
-        return (neg[x], neg[y]) if neg[x] < x else (x, y)
+        if neg[x] < x:
+            x, y = neg[x], neg[y]
+        if projective and neg[y] < y:
+            y = neg[y]
+        return x, y
 
     elements, seen = [(0, 0)], {(0, 0)}
     for i, s in enumerate(gens):
@@ -274,11 +288,14 @@ def generate_group(name, generators):
                 elements += coset
                 seen.update(coset)
                 todo += [times(r, t) for t in gens[:i + 1]]
+    if projective:
+        return ProjectiveGroup(name, dict(zip(
+            elements, map(Element._make, elements))), gens)
     return Group(name, gens, map(Element._make, elements))
 
 
 class ProjectiveGroup:
-    """Image of a Group in PGL_2 x PGL_2 (= the action on P^1 x P^1)."""
+    """A group in PGL_2 x PGL_2 (= the action on P^1 x P^1), by proj_key."""
 
     def __init__(self, name, reps, generators):
         self.name = name
@@ -296,17 +313,6 @@ class ProjectiveGroup:
 
     def __repr__(self):
         return f"ProjectiveGroup({self.name!r}, order={self.order()})"
-
-
-def projectivize(g):
-    neg = binary_octahedral().neg
-    reps = {}
-    for e in g:  # a is canonical: (a, b) is e.proj_key() once b is
-        a, b = e
-        if neg[b] < b:
-            b = neg[b]
-        reps.setdefault((a, b), e)
-    return ProjectiveGroup(g.name, reps, [reps[x.proj_key()] for x in g.generators])
 
 
 def is_subgroup(h, g):
@@ -392,13 +398,19 @@ def surface(context):
     return Surface(label, degree, fiber)
 
 
-@cache
-def group(label):
+def _generators(label):
     if label not in _GENERATOR_PAIRS:
         raise ValueError(f"unknown group {label!r}")
-    return generate_group(label, _GENERATOR_PAIRS[label])
+    return _GENERATOR_PAIRS[label]
+
+
+@cache
+def group(label):
+    """The linear group: read only where linear orders are printed."""
+    return generate_group(label, _generators(label))
 
 
 @cache
 def pgroup(label):
-    return projectivize(group(label))
+    """The projective group, closed directly: the group of the geometry."""
+    return generate_group(label, _generators(label), projective=True)

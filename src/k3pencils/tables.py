@@ -98,7 +98,7 @@ def _build_rulings():
     for label in data.GROUP_ORDER:
         for side in ("left", "right"):
             expected = data.RULINGS[(label, side)]
-            got = orbits_on_ruling(group(label), side)
+            got = orbits_on_ruling(pgroup(label), side)
             got = {o: tuple(lengths) for o, lengths in got.items()}
             yield "%s.%s" % (label, side), expected, got
 
@@ -245,8 +245,12 @@ def _build_divisible():
 
 
 def _ade_sum(text):
-    count = int(text[:-2]) if len(text) > 2 else 1
-    block = ade_lattice(ADEType.parse(text[-2:]))
+    """The lattice of "<count><Dynkin>": "2D10" is D10 + D10, "A11" A11."""
+    digits = len(text) - len(text.lstrip("0123456789"))
+    count = int(text[:digits] or 1)
+    if count < 1:
+        raise ValueError("cannot parse block symbol %r" % (text,))
+    block = ade_lattice(ADEType.parse(text[digits:]))
     lat = block
     for _ in range(count - 1):
         lat = direct_sum(lat, block)
@@ -341,8 +345,5 @@ def emit_report(results, fmt="tsv"):
 
 def group_registry():
     """(label, order, projective order) for every registered group."""
-    out = []
-    for label in GROUP_LABELS:
-        g = group(label)
-        out.append((label, g.order(), pgroup(label).order()))
-    return out
+    return [(label, group(label).order(), pgroup(label).order())
+            for label in GROUP_LABELS]

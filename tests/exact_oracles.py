@@ -3,8 +3,9 @@
 Field constants, matrix and group operations that serve as oracles for
 the table-driven code in k3pencils, or as checks the report does not
 need: matrix-vector products, scaling, determinants, eigenspaces, SU(2)
-inverses, the breadth-first group closure, normality, conjugation (by a
-rotation or by the factor-swapping reflection) and conjugacy classes.
+inverses, the breadth-first group closure, the projective image of a
+linear group, normality, conjugation (by a rotation or by the
+factor-swapping reflection) and conjugacy classes.
 The lines an element fixes are enumerated from the package's key rule;
 fix groups, line inventories and line orbits are found again from them
 and from act_line, and field inverses from all seven Galois conjugates.
@@ -245,6 +246,16 @@ def inventory_by_fix_lines(pg):
     reference for geometry.line_inventory."""
     lines = {ln for e in pg if not e.is_proj_trivial() for ln in fix_lines(e)}
     return sorted(ln for ln in lines if ln.kind == "transversal")
+
+
+def projectivize(g):
+    """The image of a linear Group in PGL_2 x PGL_2, one representative
+    per proj_key: the reference for the direct closure groups.pgroup."""
+    reps = {}
+    for e in g:
+        reps.setdefault(e.proj_key(), e)
+    return ProjectiveGroup(g.name, reps,
+                           [reps[x.proj_key()] for x in g.generators])
 
 
 def orbits_by_act_line(pg, lines):

@@ -27,7 +27,6 @@ from k3pencils.groups import (
     group,
     pgroup,
     point_coords,
-    projectivize,
     surface,
 )
 from k3pencils.geometry import (
@@ -60,6 +59,7 @@ from exact_oracles import (
     inventory_by_fix_lines,
     mat_vec,
     orbits_by_act_line,
+    projectivize,
 )
 
 # orbit lengths of pure-element fix points, grouped by fixer order,
@@ -96,9 +96,12 @@ DEGREES = {"TxV": 6, "TT1": 6, "VxV": 6, "OxT": 8, "OO2": 8, "TxT": 8}
 class TestRulingOrbits:
     @pytest.mark.parametrize("label,side", sorted(RULING_TABLES))
     def test_orbit_tables(self, label, side):
-        assert orbits_on_ruling(group(label), side) == RULING_TABLES[
-            (label, side)
-        ]
+        # the linear group and its directly closed projective image
+        # agree: the pure fix points depend on the projective group only
+        g, pg = group(label), pgroup(label)
+        assert pure_fix_points(g, side) == pure_fix_points(pg, side)
+        for h in (g, pg):
+            assert orbits_on_ruling(h, side) == RULING_TABLES[(label, side)]
 
     def test_fix_point_counts(self):
         pts = pure_fix_points(group("OxT"), "left")
@@ -251,6 +254,18 @@ class TestKeyWalks:
         orbits = line_orbits(pg, lines)
         assert orbits == orbits_by_act_line(pg, lines)
         assert all(type(ln) is Line for orb in orbits for ln in orb)
+        # the orbits hold the caller's own lines, none built again
+        own = {id(ln) for ln in lines}
+        assert sorted(id(ln) for orb in orbits for ln in orb) == sorted(own)
+
+    def test_the_geometry_closes_no_linear_group(self):
+        for fn in (group, pgroup, base_points):
+            fn.cache_clear()
+        for label in GROUP_LABELS:
+            pg = pgroup(label)
+            line_orbits(pg, base_locus(DEFAULT_DEGREE[label]))
+            line_orbits(pg, line_inventory(pg))
+        assert group.cache_info().currsize == 0
 
 
 class TestBaseLocus:
@@ -412,7 +427,7 @@ def test_fixlines_checks_survive_python_O(sabotage, message):
 RULING_SABOTAGE = (
     ("geometry.pure_fix_points = lambda g, s, f=geometry.pure_fix_points: "
      "{p: o + (p == min(f(g, s))) for p, o in f(g, s).items()}\n"
-     "geometry.orbits_on_ruling(geometry.group('TxV'), 'left')",
+     "geometry.orbits_on_ruling(geometry.pgroup('TxV'), 'left')",
      "ArithmeticError: TxV left ruling orbit of 0 (length 6): fixer "
      "orders [2, 3], not one"),
     ("geometry.ruling_orbits = lambda g, s, p, f=geometry.ruling_orbits: "

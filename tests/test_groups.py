@@ -42,7 +42,6 @@ from k3pencils.groups import (
     index,
     is_subgroup,
     pgroup,
-    projectivize,
     surface,
 )
 
@@ -55,6 +54,7 @@ from exact_oracles import (
     is_normal,
     mat_scale,
     mat_vec,
+    projectivize,
     su2_inv,
 )
 
@@ -540,3 +540,15 @@ class TestProjectivize:
     def test_projectivize_function(self):
         pg = projectivize(group("OxO"))
         assert pg.order() == 576
+
+    @pytest.mark.parametrize("label, order", [
+        ("TxV", 48), ("TT1", 48), ("VxV", 16), ("OxT", 288), ("OO2", 288),
+        ("TxT", 144), ("OxO", 576)])
+    def test_direct_closure_is_the_projective_image(self, label, order):
+        direct, image = pgroup(label), projectivize(group(label))
+        assert direct.order() == image.order() == order
+        assert set(direct.reps) == set(image.reps)
+        assert ([e.proj_key() for e in direct.generators]
+                == [e.proj_key() for e in image.generators])
+        # each representative is its own key, a canonical Element
+        assert all(Element(*k) == e == k for k, e in direct.reps.items())

@@ -104,3 +104,19 @@ def test_default_degree_is_read_by_groups_and_cli_only():
     readers = {path.stem for path, tree in _trees(PACKAGE).items()
                if "DEFAULT_DEGREE" in _read_names(tree)}
     assert readers - {"groups", "cli"} == set()
+
+
+def test_linear_group_is_closed_by_tables_and_groups_only():
+    # the geometry reads the projective group, pgroup; the linear group
+    # is closed only where linear orders are printed
+    def calls_group(tree):
+        return any(isinstance(n, ast.Call)
+                   and (isinstance(n.func, ast.Name) and n.func.id == "group"
+                        or isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "group"
+                        and isinstance(n.func.value, ast.Name)
+                        and n.func.value.id == "groups")
+                   for n in ast.walk(tree))
+    callers = {path.stem for path, tree in _trees(PACKAGE).items()
+               if calls_group(tree)}
+    assert callers - {"groups", "tables"} == set()

@@ -9,9 +9,11 @@ import pytest
 from k3pencils import data
 from k3pencils.config import ConfigError, emit_config, parse_config
 from k3pencils.groups import Surface
+from k3pencils.lattices import discriminant
 from k3pencils.singularities import nu_totals
 from k3pencils.tables import (
     KNOWN_DEVIATIONS,
+    _ade_sum,
     emit_report,
     group_registry,
     run_verification,
@@ -249,6 +251,21 @@ class TestEmitReport:
         summary = "%d cells: %d ok, %d known deviations, %d failures" % (
             (len(all_results),) + tally(all_results))
         assert summary == want["summary"]
+
+
+class TestAdeSum:
+    # the count is all leading digits, the block all the rest
+    @pytest.mark.parametrize("text, rank, disc", [
+        ("A11", 11, -12), ("2D10", 20, 4 ** 2), ("12A1", 12, 2 ** 12),
+        ("3A1", 3, -(2 ** 3)), ("E8", 8, 1)])
+    def test_count_and_block(self, text, rank, disc):
+        lat = _ade_sum(text)
+        assert (lat.rank, discriminant(lat)) == (rank, disc)
+
+    @pytest.mark.parametrize("text", ["2X3", "0A1", "12", "", "2D3", "A"])
+    def test_bad_symbol(self, text):
+        with pytest.raises(ValueError, match="cannot parse|needs"):
+            _ade_sum(text)
 
 
 class TestGroupRegistry:
